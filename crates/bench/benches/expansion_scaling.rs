@@ -9,11 +9,14 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use elinda_bench::bench_store;
 use elinda_core::{expansion, Direction, Explorer};
 use elinda_endpoint::decomposer::{
-    execute_decomposed, property_expansion_sparql, recognize_property_expansion, ExpansionDirection,
+    class_members, execute_decomposed, property_expansion_sparql, recognize_property_expansion,
+    ExpansionDirection,
 };
-use elinda_endpoint::parallel::{execute_decomposed_sharded, Parallelism};
+use elinda_endpoint::parallel::{try_execute_decomposed_chunked, Parallelism};
+use elinda_endpoint::trace::ROOT_SPAN;
+use elinda_endpoint::{Deadline, PropertyExpansionQuery, TraceCtx};
 use elinda_rdf::vocab;
-use elinda_store::{ClassHierarchy, ShardedTripleStore};
+use elinda_store::ClassHierarchy;
 
 const SCALES: [f64; 3] = [0.05, 0.1, 0.2];
 const SHARDS: usize = 8;
@@ -68,15 +71,22 @@ fn expansions(c: &mut Criterion) {
             })
         });
 
-        // Sequential vs. sharded-parallel decomposed evaluation of the
-        // same heavy aggregation, on the level-zero owl:Thing expansion
-        // (the Fig. 4 hot path).
+        // Sequential vs. threaded decomposed evaluation of the same
+        // heavy aggregation, on the level-zero owl:Thing expansion (the
+        // Fig. 4 hot path).
         let hierarchy = ClassHierarchy::build(&store);
-        let sharded = ShardedTripleStore::build(&store, SHARDS);
         let par = Parallelism::fixed(cores, SHARDS);
         let query = property_expansion_sparql(vocab::owl::THING, ExpansionDirection::Outgoing);
         let rec = recognize_property_expansion(&elinda_sparql::parse_query(&query).unwrap())
             .expect("canonical expansion recognized");
+        let threaded = |rec: &PropertyExpansionQuery| {
+            let members = class_members(&store, &hierarchy, rec);
+            let (trace, deadline) = (TraceCtx::disabled(), Deadline::unbounded());
+            try_execute_decomposed_chunked(&store, &members, rec, &par, deadline, &trace, ROOT_SPAN)
+                .expect("an unbounded deadline never expires")
+                .0
+                .len()
+        };
         group.bench_with_input(
             BenchmarkId::new("decomposed_seq", &label),
             &rec,
@@ -85,15 +95,7 @@ fn expansions(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("decomposed_par", &label),
             &rec,
-            |b, rec| {
-                b.iter(|| {
-                    black_box(
-                        execute_decomposed_sharded(&store, &sharded, &hierarchy, rec, &par)
-                            .0
-                            .len(),
-                    )
-                })
-            },
+            |b, rec| b.iter(|| black_box(threaded(rec))),
         );
 
         // At the largest scale, measure the two paths head-to-head and —
@@ -107,15 +109,11 @@ fn expansions(c: &mut Criterion) {
             let seq = t0.elapsed();
             let t0 = std::time::Instant::now();
             for _ in 0..reps {
-                black_box(
-                    execute_decomposed_sharded(&store, &sharded, &hierarchy, &rec, &par)
-                        .0
-                        .len(),
-                );
+                black_box(threaded(&rec));
             }
             let parallel = t0.elapsed();
             eprintln!(
-                "expansion_scaling: scale {scale}, {cores} cores, {SHARDS} shards — \
+                "expansion_scaling: scale {scale}, {cores} cores, {SHARDS} units — \
                  sequential {seq:?} vs parallel {parallel:?} ({:.2}x)",
                 seq.as_secs_f64() / parallel.as_secs_f64().max(1e-12)
             );

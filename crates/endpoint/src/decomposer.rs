@@ -17,12 +17,13 @@
 //! whose naive plan materializes the full `(s, p)` group table.
 //! [`recognize_property_expansion`] matches this shape (and its incoming
 //! variant) on the AST; [`execute_decomposed`] answers it with one index
-//! scan per instance — the per-subject `(p, count)` runs are contiguous
-//! in the SPO index (per-object runs in OSP), so no intermediate table is
-//! ever built. This works "for *all* property expansion queries", any
-//! class, not just ones previously seen (unlike the HVS).
+//! scan per instance ([`crate::kernel`]) — the per-subject `(p, count)`
+//! runs are contiguous in the SPO index (per-object runs in OSP), so no
+//! intermediate table is ever built. This works "for *all* property
+//! expansion queries", any class, not just ones previously seen (unlike
+//! the HVS).
 
-use elinda_rdf::fx::FxHashMap;
+use crate::incremental::execute_decomposed_from_frontier;
 use elinda_rdf::{vocab, Term, TermId};
 use elinda_sparql::ast::{Expr, PatternElement, Predicate, Query, SelectItems, TermOrVar};
 use elinda_sparql::{Solutions, Value};
@@ -188,58 +189,32 @@ pub fn execute_precomputed(
     solutions
 }
 
-/// Answer a recognized property-expansion query from the indexes.
-///
-/// Outgoing: one SPO range scan per instance; each `(s, p)` run is
-/// contiguous, so the aggregation needs no intermediate table. Incoming:
-/// one OSP range scan per instance with a small per-instance sort.
+/// Answer a recognized property-expansion query from the indexes: derive
+/// the class's instance set, then run the chart kernel over it
+/// ([`crate::incremental::execute_decomposed_from_frontier`]).
 ///
 /// Rows come back in the canonical order (sorted by property IRI text),
-/// the same finisher the sharded parallel path uses, so the two are
+/// the finisher every chart evaluator shares, so all of them are
 /// byte-identical on the SPARQL-JSON wire format.
 pub fn execute_decomposed(
     store: &TripleStore,
     hierarchy: &ClassHierarchy,
     q: &PropertyExpansionQuery,
 ) -> Solutions {
-    let mut agg: FxHashMap<TermId, (i64, i64)> = FxHashMap::default();
-    if let Some(class_id) = store.interner().get(&q.class) {
-        let instances = hierarchy.instances(store, class_id);
-        match q.direction {
-            ExpansionDirection::Outgoing => {
-                for s in instances {
-                    let range = store.spo_range(s, None);
-                    let mut i = 0;
-                    while i < range.len() {
-                        let p = range[i].p;
-                        let run = range[i..].partition_point(|t| t.p == p);
-                        let e = agg.entry(p).or_default();
-                        e.0 += 1;
-                        e.1 += run as i64;
-                        i += run;
-                    }
-                }
-            }
-            ExpansionDirection::Incoming => {
-                let mut props: Vec<TermId> = Vec::new();
-                for o in instances {
-                    props.clear();
-                    props.extend(store.osp_range(o, None).iter().map(|t| t.p));
-                    props.sort_unstable();
-                    let mut i = 0;
-                    while i < props.len() {
-                        let p = props[i];
-                        let run = props[i..].partition_point(|&x| x == p);
-                        let e = agg.entry(p).or_default();
-                        e.0 += 1;
-                        e.1 += run as i64;
-                        i += run;
-                    }
-                }
-            }
-        }
+    execute_decomposed_from_frontier(store, &class_members(store, hierarchy, q), q)
+}
+
+/// The sorted instance set of `q.class` (empty for a class the store has
+/// never seen) — the member slice a cold chart evaluates over.
+pub fn class_members(
+    store: &TripleStore,
+    hierarchy: &ClassHierarchy,
+    q: &PropertyExpansionQuery,
+) -> Vec<TermId> {
+    match store.interner().get(&q.class) {
+        Some(class_id) => hierarchy.instances(store, class_id),
+        None => Vec::new(),
     }
-    crate::parallel::property_agg_solutions(agg, &q.columns, store)
 }
 
 /// The canonical SPARQL text of a property-expansion query for a class —
@@ -259,7 +234,7 @@ pub fn property_expansion_sparql(class_iri: &str, direction: ExpansionDirection)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elinda_sparql::{parse_query, Executor};
+    use elinda_sparql::parse_query;
 
     const PAPER_QUERY: &str = "SELECT ?p COUNT(?p) AS ?count SUM(?sp) AS ?sp
         FROM {SELECT ?s ?p count(*) AS ?sp
@@ -340,46 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn decomposed_equals_naive_outgoing() {
-        let store = store();
-        let h = ClassHierarchy::build(&store);
-        let q = parse_query(PAPER_QUERY).unwrap();
-        let rec = recognize_property_expansion(&q).unwrap();
-        let decomposed = execute_decomposed(&store, &h, &rec);
-        let naive = Executor::new(&store).execute(&q).unwrap();
-        assert_eq!(
-            sorted_rows(&decomposed, &store),
-            sorted_rows(&naive, &store)
-        );
-    }
-
-    #[test]
-    fn decomposed_equals_naive_incoming() {
-        let store = store();
-        let h = ClassHierarchy::build(&store);
-        let text = property_expansion_sparql(vocab::owl::THING, ExpansionDirection::Incoming);
-        let q = parse_query(&text).unwrap();
-        let rec = recognize_property_expansion(&q).unwrap();
-        let decomposed = execute_decomposed(&store, &h, &rec);
-        let naive = Executor::new(&store).execute(&q).unwrap();
-        assert_eq!(
-            sorted_rows(&decomposed, &store),
-            sorted_rows(&naive, &store)
-        );
-    }
-
-    #[test]
-    fn unknown_class_yields_empty() {
-        let store = store();
-        let h = ClassHierarchy::build(&store);
-        let text = property_expansion_sparql("http://e/Nothing", ExpansionDirection::Outgoing);
-        let q = parse_query(&text).unwrap();
-        let rec = recognize_property_expansion(&q).unwrap();
-        let decomposed = execute_decomposed(&store, &h, &rec);
-        assert!(decomposed.is_empty());
-    }
-
-    #[test]
     fn precomputed_equals_on_demand() {
         let store = store();
         let h = ClassHierarchy::build(&store);
@@ -406,27 +341,5 @@ mod tests {
         let text = property_expansion_sparql("http://e/Nothing", ExpansionDirection::Outgoing);
         let rec = recognize_property_expansion(&parse_query(&text).unwrap()).unwrap();
         assert!(execute_precomputed(&store, &aggregates, &rec).is_empty());
-    }
-
-    #[test]
-    fn works_for_subclasses_not_just_owl_thing() {
-        let store = TripleStore::from_turtle(
-            r#"
-            @prefix ex: <http://e/> .
-            ex:x a ex:C ; ex:p ex:y .
-            ex:y a ex:D ; ex:p ex:x .
-            "#,
-        )
-        .unwrap();
-        let h = ClassHierarchy::build(&store);
-        let text = property_expansion_sparql("http://e/C", ExpansionDirection::Outgoing);
-        let q = parse_query(&text).unwrap();
-        let rec = recognize_property_expansion(&q).unwrap();
-        let decomposed = execute_decomposed(&store, &h, &rec);
-        let naive = Executor::new(&store).execute(&q).unwrap();
-        assert_eq!(
-            sorted_rows(&decomposed, &store),
-            sorted_rows(&naive, &store)
-        );
     }
 }

@@ -54,10 +54,10 @@ pub struct QueryOutcome {
     pub elapsed: Duration,
     /// Which component answered.
     pub served_by: ServedBy,
-    /// Number of store shards the evaluation fanned across — 1 on every
-    /// sequential path, the shard count of the endpoint's
-    /// [`crate::parallel::Parallelism`] budget when the sharded parallel
-    /// evaluator answered.
+    /// Number of work units the evaluation fanned across — 1 on every
+    /// sequential path, the unit count of the endpoint's
+    /// [`crate::parallel::Parallelism`] budget when the threaded chart
+    /// driver answered (the fleet size on a fabric answer).
     pub shards_used: usize,
     /// The data epoch this answer reflects. Equal to the engine's
     /// current epoch on every live path; older on a

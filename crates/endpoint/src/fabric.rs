@@ -1,10 +1,10 @@
 //! The multi-process shard fabric: a scatter-gather coordinator over N
 //! real `elinda-serve` shard processes speaking HTTP over real TCP.
 //!
-//! [`crate::parallel`] already decomposes the heavy charting
-//! aggregations into *partial per shard* + *keyed-sum merge* + *canonical
-//! finisher*, and [`crate::remote`] already speaks the SPARQL-JSON wire
-//! — this module promotes both to process granularity:
+//! [`crate::parallel`] already decomposes the property chart into
+//! *kernel partial per shard* + *keyed-sum merge* + *canonical finisher*,
+//! and [`crate::remote`] already speaks the SPARQL-JSON wire — this
+//! module promotes both to process granularity:
 //!
 //! * a **shard process** ([`ShardEvaluator`]) loads the full dataset
 //!   deterministically, partitions it with the same subject hash as the
@@ -18,7 +18,7 @@
 //!   keyed sums plus the [`property_agg_solutions`] canonical finisher —
 //!   so the merged result is **byte-identical** to single-process
 //!   serving (the cross-process differential suite in
-//!   `tests/shard_fabric.rs` asserts exactly this).
+//!   `crates/server/tests/shard_fabric.rs` asserts exactly this).
 //!
 //! **Wire subtlety.** Partials travel keyed by term *text* (IRIs), never
 //! by `TermId`: term ids are per-process interner artifacts, and two
@@ -40,7 +40,9 @@
 //! attached to the coordinator applies its fault profile to the *real*
 //! shard connections (refused sends, stalls, corrupted bodies).
 
-use crate::decomposer::{recognize_property_expansion, ExpansionDirection, PropertyExpansionQuery};
+use crate::decomposer::{
+    class_members, recognize_property_expansion, ExpansionDirection, PropertyExpansionQuery,
+};
 use crate::engine::{QueryContext, QueryEngine, QueryOutcome, ServeError, ServedBy};
 use crate::fault::{FaultInjector, FaultKind};
 use crate::json::{escape_json, parse_json, Json};
@@ -70,9 +72,10 @@ use std::time::{Duration, Instant};
 /// The process loads the *full* dataset through the ordinary bootstrap
 /// (deterministic datagen, `--load`, or `--store-dir`) and partitions it
 /// in memory with [`ShardedTripleStore::build`] — reusing the exact
-/// subject hash the in-process parallel evaluator shards by. Evaluating
-/// over `shard(shard_id)` only is therefore equivalent to one slot of
-/// the in-process fan-out, and the global instance set needed by
+/// subject hash the in-process reference evaluator
+/// ([`crate::parallel::execute_decomposed_sharded`]) shards by. Evaluating
+/// over `shard(shard_id)` only is therefore one slot of that reference's
+/// fan-out, and the global instance set needed by
 /// incoming expansions (whose edges cross partitions) is derived locally
 /// from the full class hierarchy instead of being shipped over the wire.
 pub struct ShardEvaluator {
@@ -152,10 +155,7 @@ impl ShardEvaluator {
                 "shard/eval takes recognized property-expansion chart queries only".into(),
             ));
         };
-        let instances = match self.store.interner().get(&rec.class) {
-            Some(class) => self.hierarchy.instances(&self.store, class),
-            None => Vec::new(),
-        };
+        let instances = class_members(&self.store, &self.hierarchy, &rec);
         let shard = self.sharded.shard(self.shard_id);
         let body = match rec.direction {
             ExpansionDirection::Outgoing => {
@@ -255,7 +255,7 @@ pub enum ShardPartial {
 /// local store never interned into plain strings, which would silently
 /// break canonical ordering. Unknown or malformed structure here is a
 /// typed transient error, never a wrong answer.
-fn decode_partial(
+pub(crate) fn decode_partial(
     body: &str,
     expect_shard: usize,
     expect_of: usize,
@@ -881,7 +881,7 @@ impl FabricCoordinator {
     /// merge + finisher. A key this process never interned means the
     /// shard served a different dataset — a transient fault, never a
     /// silent miscount.
-    fn merge(
+    pub(crate) fn merge(
         &self,
         partials: Vec<ShardPartial>,
         rec: &PropertyExpansionQuery,

@@ -209,159 +209,26 @@ impl<'a> IncrementalPropertyChart<'a> {
 // The second half of incremental evaluation: when the router has the parent
 // bar's entity frontier cached (see [`crate::cache::ResultCache`]), a child
 // expansion seeds from that frontier instead of re-deriving the instance set
-// from the store. The evaluators below replicate the exact aggregation loops
-// of [`crate::decomposer::execute_decomposed`] and the sharded partials in
-// [`crate::parallel`] over an explicit member slice, so their results are
-// byte-identical to cold evaluation whenever the slice equals the class's
-// instance set — which [`seed_child_frontier`] guarantees by cardinality
-// verification before handing a derived frontier out.
+// from the store. A chart is a function of its member slice alone, so the
+// result is byte-identical to cold evaluation whenever the slice equals the
+// class's instance set — which [`seed_child_frontier`] guarantees by
+// cardinality verification before handing a derived frontier out.
 
-use crate::decomposer::{ExpansionDirection, PropertyExpansionQuery};
-use crate::engine::ServeError;
-use crate::parallel::{
-    merge_incoming_partials, merge_outgoing_partials, property_agg_solutions,
-    property_partial_incoming, property_partial_outgoing, sorted_intersection_len, try_map_shards,
-    ParallelReport, Parallelism,
-};
-use crate::resilience::Deadline;
-use crate::trace::TraceCtx;
-use elinda_store::ShardedTripleStore;
+use crate::decomposer::PropertyExpansionQuery;
+use crate::kernel::count_properties;
+use crate::parallel::property_agg_solutions;
 
-/// Sequential property expansion over an explicit member frontier.
-///
-/// Mirrors [`crate::decomposer::execute_decomposed`] exactly, minus the
-/// instance-set derivation: same scans, same aggregation, same canonical
-/// finisher — so the result is byte-identical when `members` equals the
-/// sorted instance set of `q.class`.
+/// Sequential property expansion over an explicit member frontier: the
+/// chart kernel over the whole store, accumulated per property and
+/// finished canonically. [`crate::decomposer::execute_decomposed`] is this
+/// over the class's instance set.
 pub fn execute_decomposed_from_frontier(
     store: &TripleStore,
     members: &[TermId],
     q: &PropertyExpansionQuery,
 ) -> Solutions {
-    let mut agg: FxHashMap<TermId, (i64, i64)> = FxHashMap::default();
-    match q.direction {
-        ExpansionDirection::Outgoing => {
-            for &s in members {
-                let range = store.spo_range(s, None);
-                let mut i = 0;
-                while i < range.len() {
-                    let p = range[i].p;
-                    let run = range[i..].partition_point(|t| t.p == p);
-                    let e = agg.entry(p).or_default();
-                    e.0 += 1;
-                    e.1 += run as i64;
-                    i += run;
-                }
-            }
-        }
-        ExpansionDirection::Incoming => {
-            let mut props: Vec<TermId> = Vec::new();
-            for &o in members {
-                props.clear();
-                props.extend(store.osp_range(o, None).iter().map(|t| t.p));
-                props.sort_unstable();
-                let mut i = 0;
-                while i < props.len() {
-                    let p = props[i];
-                    let run = props[i..].partition_point(|&x| x == p);
-                    let e = agg.entry(p).or_default();
-                    e.0 += 1;
-                    e.1 += run as i64;
-                    i += run;
-                }
-            }
-        }
-    }
-    property_agg_solutions(agg, &q.columns, store)
-}
-
-/// Sharded property expansion over an explicit member frontier, under a
-/// [`Deadline`], with `fanout`/`shard/<i>`/`merge` spans under `parent`.
-///
-/// Same partials, merge, and finisher as
-/// [`crate::parallel::try_execute_decomposed_sharded`], so byte-identical
-/// to every other tier when `members` equals the class's instance set.
-#[allow(clippy::too_many_arguments)]
-pub fn try_execute_sharded_from_frontier(
-    store: &TripleStore,
-    sharded: &ShardedTripleStore,
-    members: &[TermId],
-    q: &PropertyExpansionQuery,
-    par: &Parallelism,
-    deadline: Deadline,
-    trace: &TraceCtx,
-    parent: u32,
-) -> Result<(Solutions, ParallelReport), ServeError> {
-    let n = sharded.num_shards();
-    let (agg, report) = match q.direction {
-        ExpansionDirection::Outgoing => {
-            let (partials, report) =
-                try_map_shards(sharded, par.threads, deadline, trace, parent, |i, shard| {
-                    property_partial_outgoing(shard, i, n, members)
-                })?;
-            let _merge = trace.span_under(parent, "merge");
-            (merge_outgoing_partials(partials), report)
-        }
-        ExpansionDirection::Incoming => {
-            let (partials, report) =
-                try_map_shards(sharded, par.threads, deadline, trace, parent, |_, shard| {
-                    property_partial_incoming(shard, members)
-                })?;
-            let _merge = trace.span_under(parent, "merge");
-            (merge_incoming_partials(partials), report)
-        }
-    };
-    Ok((property_agg_solutions(agg, &q.columns, store), report))
-}
-
-/// Subclass rollup seeded from a member frontier: bar heights for each
-/// direct subclass of `class`, counting members that are also instances
-/// of the subclass. Equals [`crate::parallel::subclass_rollup`] when
-/// `members` is the instance set of `class`.
-pub fn subclass_rollup_from_frontier(
-    store: &TripleStore,
-    hierarchy: &ClassHierarchy,
-    members: &[TermId],
-    class: TermId,
-) -> Solutions {
-    let counts = hierarchy
-        .direct_subclasses(class)
-        .iter()
-        .map(|&sub| {
-            let sub_instances = hierarchy.instances(store, sub);
-            (sub, sorted_intersection_len(members, &sub_instances) as i64)
-        })
-        .collect();
-    crate::parallel::subclass_rollup_solutions(counts, store)
-}
-
-/// Object rollup seeded from a member frontier: the nodes connected to
-/// `members` via `prop` (objects when outgoing, subjects when incoming),
-/// grouped by class with distinct-node counts. Equals
-/// [`crate::parallel::object_rollup`] when `members` is the instance set.
-pub fn object_rollup_from_frontier(
-    store: &TripleStore,
-    hierarchy: &ClassHierarchy,
-    members: &[TermId],
-    prop: TermId,
-    direction: ExpansionDirection,
-) -> Solutions {
-    let mut connected: Vec<TermId> = Vec::new();
-    for &s in members {
-        match direction {
-            ExpansionDirection::Outgoing => connected.extend(store.objects_of(s, prop)),
-            ExpansionDirection::Incoming => connected.extend(store.subjects_with(prop, s)),
-        }
-    }
-    connected.sort_unstable();
-    connected.dedup();
-    let mut agg: FxHashMap<TermId, i64> = FxHashMap::default();
-    for &o in &connected {
-        for c in hierarchy.classes_of(store, o) {
-            *agg.entry(c).or_default() += 1;
-        }
-    }
-    crate::parallel::object_rollup_solutions(agg, store)
+    let counts = count_properties(store.index(), members, q.direction);
+    property_agg_solutions(counts, &q.columns, store)
 }
 
 /// Derives the frontier of `child` from its parent's cached frontier:
@@ -563,55 +430,6 @@ mod tests {
         .unwrap()
     }
 
-    fn rec_for(
-        store: &TripleStore,
-        class: &str,
-        dir: ExpansionDirection,
-    ) -> PropertyExpansionQuery {
-        let q = parse_query(&property_expansion_sparql(class, dir)).unwrap();
-        let _ = store;
-        recognize_property_expansion(&q).unwrap()
-    }
-
-    #[test]
-    fn frontier_seeded_matches_cold_both_directions() {
-        let store = hierarchy_store();
-        let h = ClassHierarchy::build(&store);
-        let agent = store.lookup_iri("http://e/Agent").unwrap();
-        let members = h.instances(&store, agent);
-        for dir in [ExpansionDirection::Outgoing, ExpansionDirection::Incoming] {
-            let rec = rec_for(&store, "http://e/Agent", dir);
-            let cold = execute_decomposed(&store, &h, &rec);
-            let seeded = execute_decomposed_from_frontier(&store, &members, &rec);
-            assert_eq!(cold, seeded, "direction {dir:?}");
-        }
-    }
-
-    #[test]
-    fn sharded_frontier_seeded_matches_cold() {
-        let store = hierarchy_store();
-        let h = ClassHierarchy::build(&store);
-        let sharded = elinda_store::ShardedTripleStore::build(&store, 3);
-        let agent = store.lookup_iri("http://e/Agent").unwrap();
-        let members = h.instances(&store, agent);
-        for dir in [ExpansionDirection::Outgoing, ExpansionDirection::Incoming] {
-            let rec = rec_for(&store, "http://e/Agent", dir);
-            let cold = execute_decomposed(&store, &h, &rec);
-            let (seeded, _report) = try_execute_sharded_from_frontier(
-                &store,
-                &sharded,
-                &members,
-                &rec,
-                &Parallelism::fixed(2, 3),
-                Deadline::unbounded(),
-                &TraceCtx::disabled(),
-                0,
-            )
-            .unwrap();
-            assert_eq!(cold, seeded, "direction {dir:?}");
-        }
-    }
-
     #[test]
     fn seed_child_frontier_derives_and_verifies() {
         let store = hierarchy_store();
@@ -628,25 +446,5 @@ mod tests {
             .filter(|&e| e != derived[0])
             .collect();
         assert!(seed_child_frontier(&store, &h, &partial, person).is_none());
-    }
-
-    #[test]
-    fn rollups_from_frontier_match_cold() {
-        let store = hierarchy_store();
-        let h = ClassHierarchy::build(&store);
-        let agent = store.lookup_iri("http://e/Agent").unwrap();
-        let members = h.instances(&store, agent);
-        assert_eq!(
-            crate::parallel::subclass_rollup(&store, &h, agent),
-            subclass_rollup_from_frontier(&store, &h, &members, agent)
-        );
-        let knows = store.lookup_iri("http://e/knows").unwrap();
-        for dir in [ExpansionDirection::Outgoing, ExpansionDirection::Incoming] {
-            assert_eq!(
-                crate::parallel::object_rollup(&store, &h, agent, knows, dir),
-                object_rollup_from_frontier(&store, &h, &members, knows, dir),
-                "direction {dir:?}"
-            );
-        }
     }
 }

@@ -15,7 +15,9 @@
 //!   property-expansion query shape on the SPARQL AST and answers it from
 //!   the store's indexes instead of the naive nested aggregation,
 //!   "for *all* property expansion queries … for subclasses of
-//!   owl:Thing";
+//!   owl:Thing"; the index scan itself is written once ([`kernel`]) and
+//!   driven sequentially, across threads ([`parallel`]) or across
+//!   processes ([`fabric`]);
 //! * **incremental evaluation** ([`incremental`]) — computes a chart on
 //!   the first `N` triples, then the next `N`, aggregating partial
 //!   results "in the frontend", for `k` steps or until complete.
@@ -36,6 +38,7 @@ pub mod fault;
 pub mod hvs;
 pub mod incremental;
 pub mod json;
+pub mod kernel;
 pub mod metrics;
 pub mod novelty;
 pub mod parallel;
@@ -64,6 +67,6 @@ pub use resilience::{
     Admission, BreakerConfig, BreakerState, BreakerStats, CircuitBreaker, Deadline,
     ResilienceConfig, ResilienceStats, ResilientEndpoint, RetryPolicy,
 };
-pub use router::{DecomposerMode, ElindaEndpoint, EndpointConfig, ExplainReport};
+pub use router::{ElindaEndpoint, EndpointConfig, ExplainReport};
 pub use trace::{FinishedTrace, SpanRecord, StageStats, TraceCtx, TraceRing};
 pub use update_log::{decode_update, encode_update};

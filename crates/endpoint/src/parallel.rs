@@ -1,36 +1,39 @@
-//! Intra-query parallel evaluation of the heavy charting aggregations.
+//! Intra-query parallel evaluation of the property chart.
 //!
-//! The Fig. 4 hot path — property expansions, subclass rollups, threshold
-//! filters — is embarrassingly data-parallel over triple partitions:
-//! every aggregation here decomposes into *map per shard* (a partial
-//! aggregate over one [`Shard`] of a [`ShardedTripleStore`]) followed by
-//! *merge partials* (keyed summation). This module provides:
+//! The Fig. 4 hot path is embarrassingly data-parallel over the member
+//! set: a chart is the keyed sum of the charts of any partition of its
+//! members. This module provides:
 //!
 //! * [`Parallelism`] — the per-request core budget plumbed through
 //!   `ElindaEndpoint` and `elinda-serve`, chosen so the server's worker
 //!   pool and the intra-query pool compose without oversubscription;
-//! * the sharded evaluators ([`execute_decomposed_sharded`],
-//!   [`subclass_rollup_sharded`], [`object_rollup_sharded`]) and their
-//!   independent sequential twins, which the differential test suite
-//!   proves byte-identical on the SPARQL-JSON wire format;
-//! * the partial/merge primitives themselves, public so the property
-//!   tests can drive them with shuffled shard completion orders.
+//! * [`try_map_units`] — the work-stealing runner: map `n` independent
+//!   units on a bounded number of threads under a deadline;
+//! * [`try_execute_decomposed_chunked`] — the threaded driver the router
+//!   runs: the chart kernel over contiguous member chunks of the one
+//!   shared store, merged by keyed sum;
+//! * [`execute_decomposed_sharded`] — the *reference*: the kernel over
+//!   each physical partition of a [`ShardedTripleStore`], merged with the
+//!   partial/merge primitives the shard fabric also uses. It shares only
+//!   the kernel with the chunked driver, so the differential suites use
+//!   it as an independent oracle.
 //!
 //! **Merge determinism.** Partials are merged by keyed integer summation
 //! (commutative and associative), and every result is finished by a
 //! canonical sort with stable tie-breaking on IRI order
 //! ([`canonicalize_rows`]). Parallel results are therefore byte-identical
-//! to sequential ones on the wire, regardless of shard count, worker
-//! count, or the order in which shards complete.
+//! to sequential ones on the wire, regardless of unit count, worker
+//! count, or the order in which units complete.
 
-use crate::decomposer::{ExpansionDirection, PropertyExpansionQuery};
+use crate::decomposer::{class_members, ExpansionDirection, PropertyExpansionQuery};
 use crate::engine::ServeError;
+use crate::kernel::{count_properties, scan_property_runs, PropertyCounts};
 use crate::resilience::Deadline;
 use crate::trace::{TraceCtx, ROOT_SPAN};
 use elinda_rdf::fx::FxHashMap;
 use elinda_rdf::TermId;
 use elinda_sparql::{Solutions, Value};
-use elinda_store::{ClassHierarchy, Shard, ShardedTripleStore, TripleStore};
+use elinda_store::{shard_of, ClassHierarchy, Shard, ShardedTripleStore, TripleStore};
 use parking_lot::Mutex;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -43,7 +46,7 @@ use std::time::{Duration, Instant};
 /// The intra-query parallelism budget.
 ///
 /// `threads` is a *per-request core budget*: each heavy aggregation fans
-/// its shard maps across at most this many workers. A server running `W`
+/// its work units across at most this many workers. A server running `W`
 /// worker threads on `C` cores should hand each request a budget of
 /// `max(1, C / W)` (see [`Parallelism::budgeted`]) so that `W` concurrent
 /// heavy queries saturate — but do not oversubscribe — the machine.
@@ -51,9 +54,9 @@ use std::time::{Duration, Instant};
 pub struct Parallelism {
     /// Maximum worker threads per query (1 = sequential evaluation).
     pub threads: usize,
-    /// Number of shards the store is partitioned into. More shards than
-    /// threads gives the work-stealing loop slack to balance skewed
-    /// partitions; shards = 1 disables sharding entirely.
+    /// Number of work units a query's member set is cut into. More units
+    /// than threads gives the work-stealing loop slack to balance skewed
+    /// chunks; shards = 1 disables the fan-out entirely.
     pub shards: usize,
 }
 
@@ -64,7 +67,7 @@ impl Default for Parallelism {
 }
 
 impl Parallelism {
-    /// Sequential evaluation: one thread, one shard.
+    /// Sequential evaluation: one thread, one unit.
     pub fn sequential() -> Self {
         Parallelism {
             threads: 1,
@@ -72,7 +75,7 @@ impl Parallelism {
         }
     }
 
-    /// A fixed budget of `threads` workers over `shards` shards (both
+    /// A fixed budget of `threads` workers over `shards` work units (both
     /// clamped to at least 1).
     pub fn fixed(threads: usize, shards: usize) -> Self {
         Parallelism {
@@ -83,7 +86,7 @@ impl Parallelism {
 
     /// The budget for one of `server_workers` concurrently-serving
     /// threads on this machine: `max(1, cores / server_workers)` workers
-    /// over `shards` shards. With this split the server pool and the
+    /// over `shards` work units. With this split the server pool and the
     /// intra-query pools compose to at most `cores` runnable threads.
     pub fn budgeted(server_workers: usize, shards: usize) -> Self {
         let cores = std::thread::available_parallelism()
@@ -93,7 +96,7 @@ impl Parallelism {
     }
 
     /// True when this budget actually fans out (more than one thread and
-    /// more than one shard).
+    /// more than one unit).
     pub fn is_parallel(&self) -> bool {
         self.threads > 1 && self.shards > 1
     }
@@ -107,7 +110,7 @@ impl Parallelism {
 /// parallel metrics (`/metrics` per-shard timing and speedup gauge).
 #[derive(Debug, Clone)]
 pub struct ParallelReport {
-    /// Busy time spent mapping each shard, by shard index.
+    /// Busy time spent mapping each unit, by unit index.
     pub shard_busy: Vec<Duration>,
     /// Wall-clock time of the whole fan-out (map + merge).
     pub wall: Duration,
@@ -116,7 +119,7 @@ pub struct ParallelReport {
 }
 
 impl ParallelReport {
-    /// Total busy time across shards — what a sequential evaluation of
+    /// Total busy time across units — what a sequential evaluation of
     /// the same maps would have cost.
     pub fn busy_total(&self) -> Duration {
         self.shard_busy.iter().sum()
@@ -139,9 +142,9 @@ impl ParallelReport {
 /// the parallel-speedup gauge.
 #[derive(Debug, Clone, Default)]
 pub struct ParallelStats {
-    /// Queries answered by the sharded parallel path.
+    /// Queries answered by the threaded driver.
     pub queries: u64,
-    /// Cumulative busy time per shard index.
+    /// Cumulative busy time per unit index.
     pub shard_busy: Vec<Duration>,
     /// Cumulative wall time of the parallel fan-outs.
     pub wall: Duration,
@@ -161,7 +164,7 @@ impl ParallelStats {
         self.wall += report.wall;
     }
 
-    /// Total busy time across shards — the sequential-equivalent cost.
+    /// Total busy time across units — the sequential-equivalent cost.
     pub fn busy_total(&self) -> Duration {
         self.shard_busy.iter().sum()
     }
@@ -178,24 +181,20 @@ impl ParallelStats {
     }
 }
 
-/// Map every shard through `map` using at most `threads` workers, and
-/// return the partials **in shard-index order** (independent of
-/// completion order) together with per-shard timings.
+/// Map units `0..units` through `map` using at most `threads` workers,
+/// and return the partials **in unit-index order** (independent of
+/// completion order) together with per-unit timings.
 ///
 /// Work distribution is a shared atomic cursor: each worker claims the
-/// next unmapped shard, so skewed shards self-balance as long as
-/// `shards > threads`.
-pub fn map_shards<P, F>(
-    sharded: &ShardedTripleStore,
-    threads: usize,
-    map: F,
-) -> (Vec<P>, ParallelReport)
+/// next unmapped unit, so skewed units self-balance as long as
+/// `units > threads`.
+pub fn map_units<P, F>(units: usize, threads: usize, map: F) -> (Vec<P>, ParallelReport)
 where
     P: Send,
-    F: Fn(usize, &Shard) -> P + Sync,
+    F: Fn(usize) -> P + Sync,
 {
-    try_map_shards(
-        sharded,
+    try_map_units(
+        units,
         threads,
         Deadline::unbounded(),
         &TraceCtx::disabled(),
@@ -205,18 +204,18 @@ where
     .expect("an unbounded deadline never expires")
 }
 
-/// [`map_shards`] under a [`Deadline`]: cooperative cancellation for the
+/// [`map_units`] under a [`Deadline`]: cooperative cancellation for the
 /// parallel fan-out. Every worker re-checks the budget **before claiming
-/// each shard** and stops claiming once it is spent, so an expiring
+/// each unit** and stops claiming once it is spent, so an expiring
 /// request returns (with [`ServeError::DeadlineExceeded`]) as soon as
-/// the in-flight shard maps finish — bounded by one shard's map time,
-/// not by the whole remaining fan-out.
+/// the in-flight maps finish — bounded by one unit's map time, not by
+/// the whole remaining fan-out.
 ///
 /// When `trace` is sampled, the fan-out records a `fanout` span under
-/// `parent` with one `shard/<i>` child per mapped shard; with tracing
+/// `parent` with one `shard/<i>` child per mapped unit; with tracing
 /// disabled the extra cost is a handful of `Option` branches.
-pub fn try_map_shards<P, F>(
-    sharded: &ShardedTripleStore,
+pub fn try_map_units<P, F>(
+    units: usize,
     threads: usize,
     deadline: Deadline,
     trace: &TraceCtx,
@@ -225,21 +224,20 @@ pub fn try_map_shards<P, F>(
 ) -> Result<(Vec<P>, ParallelReport), ServeError>
 where
     P: Send,
-    F: Fn(usize, &Shard) -> P + Sync,
+    F: Fn(usize) -> P + Sync,
 {
-    let n = sharded.num_shards();
-    let workers = threads.clamp(1, n);
+    let workers = threads.clamp(1, units.max(1));
     let mut fanout = trace.span_under(parent, "fanout");
     if trace.is_enabled() {
-        fanout.tag("shards", n.to_string());
+        fanout.tag("shards", units.to_string());
         fanout.tag("threads", workers.to_string());
     }
     let fanout_id = fanout.id();
     let start = Instant::now();
-    let mut busy = vec![Duration::ZERO; n];
+    let mut busy = vec![Duration::ZERO; units];
     let expired = AtomicBool::new(false);
     let partials: Vec<Option<P>> = if workers <= 1 {
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(units);
         for (i, slot) in busy.iter_mut().enumerate() {
             if deadline.is_expired() {
                 expired.store(true, Ordering::Relaxed);
@@ -249,15 +247,16 @@ where
                 .is_enabled()
                 .then(|| trace.span_under(fanout_id, &format!("shard/{i}")));
             let t0 = Instant::now();
-            out.push(Some(map(i, sharded.shard(i))));
+            out.push(Some(map(i)));
             *slot = t0.elapsed();
             drop(span);
         }
-        out.resize_with(n, || None);
+        out.resize_with(units, || None);
         out
     } else {
         let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<(P, Duration)>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<(P, Duration)>>> =
+            (0..units).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
@@ -266,14 +265,14 @@ where
                         break;
                     }
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
+                    if i >= units {
                         break;
                     }
                     let span = trace
                         .is_enabled()
                         .then(|| trace.span_under(fanout_id, &format!("shard/{i}")));
                     let t0 = Instant::now();
-                    let partial = map(i, sharded.shard(i));
+                    let partial = map(i);
                     *slots[i].lock() = Some((partial, t0.elapsed()));
                     drop(span);
                 });
@@ -312,24 +311,17 @@ where
 /// first column is not a term (there are none in the charting
 /// aggregations) sort after all terms, by row debug order.
 pub fn canonicalize_rows(solutions: &mut Solutions, store: &TripleStore) {
-    solutions.rows.sort_by(|a, b| {
-        let key = |row: &Vec<Option<Value>>| match row.first() {
-            Some(Some(Value::Term(id))) => Some(store.resolve(*id).to_string()),
-            _ => None,
-        };
-        match (key(a), key(b)) {
-            (Some(x), Some(y)) => x.cmp(&y),
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (None, None) => format!("{a:?}").cmp(&format!("{b:?}")),
-        }
+    // One key per row, not two per comparison.
+    solutions.rows.sort_by_cached_key(|row| match row.first() {
+        Some(Some(Value::Term(id))) => (false, store.resolve(*id).to_string()),
+        _ => (true, format!("{row:?}")),
     });
 }
 
 /// Finish a `property → (entity count, triple count)` aggregate into a
 /// canonically ordered [`Solutions`].
 pub fn property_agg_solutions(
-    agg: FxHashMap<TermId, (i64, i64)>,
+    agg: PropertyCounts,
     columns: &[String; 3],
     store: &TripleStore,
 ) -> Solutions {
@@ -355,8 +347,8 @@ pub fn property_agg_solutions(
 // Property expansion: partials and merges
 // ---------------------------------------------------------------------------
 
-/// Outgoing partial for one shard: `property → (entity count, triple
-/// count)` over the instances whose subject hashes into this shard.
+/// Outgoing partial for one physical shard: `property → (entity count,
+/// triple count)` over the instances whose subject hashes into it.
 ///
 /// Subjects are colocated, so each per-shard count is already the final
 /// count for its subjects; the merge is a plain keyed sum.
@@ -365,31 +357,22 @@ pub fn property_partial_outgoing(
     shard_index: usize,
     num_shards: usize,
     instances: &[TermId],
-) -> FxHashMap<TermId, (i64, i64)> {
-    let mut agg: FxHashMap<TermId, (i64, i64)> = FxHashMap::default();
-    for &s in instances {
-        if elinda_store::shard_of(s, num_shards) != shard_index {
-            continue;
-        }
-        let range = shard.spo_range(s, None);
-        let mut i = 0;
-        while i < range.len() {
-            let p = range[i].p;
-            let run = range[i..].partition_point(|t| t.p == p);
-            let e = agg.entry(p).or_default();
-            e.0 += 1;
-            e.1 += run as i64;
-            i += run;
-        }
-    }
-    agg
+) -> PropertyCounts {
+    let owned: Vec<TermId> = instances
+        .iter()
+        .copied()
+        .filter(|&s| shard_of(s, num_shards) == shard_index)
+        .collect();
+    count_properties(shard.index(), &owned, ExpansionDirection::Outgoing)
 }
 
-/// Merge outgoing partials (any order) by keyed summation.
+/// Merge per-property partials (any order) by keyed summation — exact
+/// whenever no member contributed to two partials: physical shards for
+/// outgoing charts, member chunks for either direction.
 pub fn merge_outgoing_partials(
-    partials: impl IntoIterator<Item = FxHashMap<TermId, (i64, i64)>>,
-) -> FxHashMap<TermId, (i64, i64)> {
-    let mut merged: FxHashMap<TermId, (i64, i64)> = FxHashMap::default();
+    partials: impl IntoIterator<Item = PropertyCounts>,
+) -> PropertyCounts {
+    let mut merged = PropertyCounts::default();
     for partial in partials {
         for (p, (count, sum)) in partial {
             let e = merged.entry(p).or_default();
@@ -400,8 +383,8 @@ pub fn merge_outgoing_partials(
     merged
 }
 
-/// Incoming partial for one shard: `(object instance, property) → triple
-/// count` over this shard's triples.
+/// Incoming partial for one physical shard: `(object instance, property)
+/// → triple count` over this shard's triples.
 ///
 /// Incoming triples of an object are spread across shards (sharding is
 /// by subject), so the per-shard partial must stay keyed by the
@@ -412,22 +395,12 @@ pub fn property_partial_incoming(
     instances: &[TermId],
 ) -> FxHashMap<(TermId, TermId), i64> {
     let mut agg: FxHashMap<(TermId, TermId), i64> = FxHashMap::default();
-    let mut props: Vec<TermId> = Vec::new();
-    for &o in instances {
-        props.clear();
-        props.extend(shard.osp_range(o, None).iter().map(|t| t.p));
-        if props.is_empty() {
-            continue;
-        }
-        props.sort_unstable();
-        let mut i = 0;
-        while i < props.len() {
-            let p = props[i];
-            let run = props[i..].partition_point(|&x| x == p);
-            *agg.entry((o, p)).or_default() += run as i64;
-            i += run;
-        }
-    }
+    scan_property_runs(
+        shard.index(),
+        instances,
+        ExpansionDirection::Incoming,
+        |o, p, len| *agg.entry((o, p)).or_default() += len as i64,
+    );
     agg
 }
 
@@ -437,14 +410,14 @@ pub fn property_partial_incoming(
 /// features, no matter how many shards its incoming triples landed in.
 pub fn merge_incoming_partials(
     partials: impl IntoIterator<Item = FxHashMap<(TermId, TermId), i64>>,
-) -> FxHashMap<TermId, (i64, i64)> {
+) -> PropertyCounts {
     let mut pairs: FxHashMap<(TermId, TermId), i64> = FxHashMap::default();
     for partial in partials {
         for (key, count) in partial {
             *pairs.entry(key).or_default() += count;
         }
     }
-    let mut merged: FxHashMap<TermId, (i64, i64)> = FxHashMap::default();
+    let mut merged = PropertyCounts::default();
     for ((_, p), count) in pairs {
         let e = merged.entry(p).or_default();
         e.0 += 1;
@@ -453,13 +426,47 @@ pub fn merge_incoming_partials(
     merged
 }
 
-/// Answer a recognized property-expansion query by fanning the shard maps
-/// across the [`Parallelism`] budget and merging partials.
+// ---------------------------------------------------------------------------
+// The threaded driver and the physical-shard reference
+// ---------------------------------------------------------------------------
+
+/// Property expansion over `members`, fanned across the [`Parallelism`]
+/// budget: the member slice is cut into `par.shards` contiguous chunks,
+/// each chunk runs the chart kernel against the one shared `store`, and
+/// the per-chunk counts merge by keyed sum (chunks are member-disjoint,
+/// so that is exact in both directions). Cooperative cancellation
+/// between chunks; `fanout`/`shard/<i>` and `merge` spans under `parent`
+/// when `trace` is sampled.
 ///
 /// Byte-identical on the SPARQL-JSON wire format to
-/// [`crate::decomposer::execute_decomposed`] for every shard and thread
-/// count (the differential suite in `tests/parallel_equivalence.rs`
-/// asserts exactly this).
+/// [`crate::incremental::execute_decomposed_from_frontier`] for every
+/// unit and thread count.
+pub fn try_execute_decomposed_chunked(
+    store: &TripleStore,
+    members: &[TermId],
+    q: &PropertyExpansionQuery,
+    par: &Parallelism,
+    deadline: Deadline,
+    trace: &TraceCtx,
+    parent: u32,
+) -> Result<(Solutions, ParallelReport), ServeError> {
+    let (units, len) = (par.shards, members.len());
+    let (partials, report) = try_map_units(units, par.threads, deadline, trace, parent, |i| {
+        let chunk = &members[i * len / units..(i + 1) * len / units];
+        count_properties(store.index(), chunk, q.direction)
+    })?;
+    let _merge = trace.span_under(parent, "merge");
+    let counts = merge_outgoing_partials(partials);
+    Ok((property_agg_solutions(counts, &q.columns, store), report))
+}
+
+/// The reference evaluation over a physically partitioned copy of the
+/// store: one partial per [`Shard`] of `sharded`, merged by
+/// [`merge_outgoing_partials`] / [`merge_incoming_partials`] — what a
+/// shard fleet computes, in one process. The serving path never runs it;
+/// `tests/parallel_equivalence.rs`, `tests/property_invariants.rs` and
+/// the fabric suite compare the chunked driver and the fabric merge
+/// against it.
 pub fn execute_decomposed_sharded(
     store: &TripleStore,
     sharded: &ShardedTripleStore,
@@ -467,396 +474,28 @@ pub fn execute_decomposed_sharded(
     q: &PropertyExpansionQuery,
     par: &Parallelism,
 ) -> (Solutions, ParallelReport) {
-    try_execute_decomposed_sharded(
-        store,
-        sharded,
-        hierarchy,
-        q,
-        par,
-        Deadline::unbounded(),
-        &TraceCtx::disabled(),
-        ROOT_SPAN,
-    )
-    .expect("an unbounded deadline never expires")
-}
-
-/// [`execute_decomposed_sharded`] under a [`Deadline`] (cooperative
-/// cancellation between shard maps), recording `fanout`/`shard/<i>` and
-/// `merge` spans under `parent` when `trace` is sampled.
-#[allow(clippy::too_many_arguments)]
-pub fn try_execute_decomposed_sharded(
-    store: &TripleStore,
-    sharded: &ShardedTripleStore,
-    hierarchy: &ClassHierarchy,
-    q: &PropertyExpansionQuery,
-    par: &Parallelism,
-    deadline: Deadline,
-    trace: &TraceCtx,
-    parent: u32,
-) -> Result<(Solutions, ParallelReport), ServeError> {
-    let Some(class_id) = store.interner().get(&q.class) else {
-        let empty = Solutions {
-            vars: q.columns.to_vec(),
-            rows: Vec::new(),
-        };
-        let report = ParallelReport {
-            shard_busy: vec![Duration::ZERO; sharded.num_shards()],
-            wall: Duration::ZERO,
-            threads: 1,
-        };
-        return Ok((empty, report));
-    };
-    let instances = hierarchy.instances(store, class_id);
+    let instances = class_members(store, hierarchy, q);
     let n = sharded.num_shards();
-    let (agg, report) = match q.direction {
+    let (counts, report) = match q.direction {
         ExpansionDirection::Outgoing => {
-            let (partials, report) =
-                try_map_shards(sharded, par.threads, deadline, trace, parent, |i, shard| {
-                    property_partial_outgoing(shard, i, n, &instances)
-                })?;
-            let _merge = trace.span_under(parent, "merge");
+            let (partials, report) = map_units(n, par.threads, |i| {
+                property_partial_outgoing(sharded.shard(i), i, n, &instances)
+            });
             (merge_outgoing_partials(partials), report)
         }
         ExpansionDirection::Incoming => {
-            let (partials, report) =
-                try_map_shards(sharded, par.threads, deadline, trace, parent, |_, shard| {
-                    property_partial_incoming(shard, &instances)
-                })?;
-            let _merge = trace.span_under(parent, "merge");
+            let (partials, report) = map_units(n, par.threads, |i| {
+                property_partial_incoming(sharded.shard(i), &instances)
+            });
             (merge_incoming_partials(partials), report)
         }
     };
-    Ok((property_agg_solutions(agg, &q.columns, store), report))
-}
-
-// ---------------------------------------------------------------------------
-// Subclass rollup
-// ---------------------------------------------------------------------------
-
-/// Column names of the subclass-rollup result.
-pub const SUBCLASS_ROLLUP_VARS: [&str; 2] = ["class", "count"];
-
-pub(crate) fn subclass_rollup_solutions(
-    counts: Vec<(TermId, i64)>,
-    store: &TripleStore,
-) -> Solutions {
-    let rows = counts
-        .into_iter()
-        .map(|(c, n)| vec![Some(Value::Term(c)), Some(Value::Int(n))])
-        .collect();
-    let mut solutions = Solutions {
-        vars: SUBCLASS_ROLLUP_VARS.iter().map(|v| v.to_string()).collect(),
-        rows,
-    };
-    canonicalize_rows(&mut solutions, store);
-    solutions
-}
-
-/// Sequential subclass rollup: for each direct subclass `τ` of `class`,
-/// the number of instances of `class` that are also instances of `τ` —
-/// the bar heights of the paper's subclass expansion, as a chart result.
-pub fn subclass_rollup(
-    store: &TripleStore,
-    hierarchy: &ClassHierarchy,
-    class: TermId,
-) -> Solutions {
-    let members = hierarchy.instances(store, class);
-    let counts = hierarchy
-        .direct_subclasses(class)
-        .iter()
-        .map(|&sub| {
-            let sub_instances = hierarchy.instances(store, sub);
-            (
-                sub,
-                sorted_intersection_len(&members, &sub_instances) as i64,
-            )
-        })
-        .collect();
-    subclass_rollup_solutions(counts, store)
-}
-
-/// Per-shard subclass-rollup partial: for each direct subclass, the size
-/// of the member∩subclass-instance intersection restricted to subjects
-/// living in this shard. Subjects are colocated, so per-shard counts sum
-/// to the global counts.
-pub fn subclass_rollup_partial(
-    shard: &Shard,
-    rdf_type: TermId,
-    class: TermId,
-    subclasses: &[TermId],
-) -> Vec<i64> {
-    let members: Vec<TermId> = dedup_subjects(shard.pos_range(rdf_type, Some(class)));
-    subclasses
-        .iter()
-        .map(|&sub| {
-            let subs = dedup_subjects(shard.pos_range(rdf_type, Some(sub)));
-            sorted_intersection_len(&members, &subs) as i64
-        })
-        .collect()
-}
-
-/// Sharded subclass rollup; merges per-shard partials by index-wise sum.
-pub fn subclass_rollup_sharded(
-    store: &TripleStore,
-    sharded: &ShardedTripleStore,
-    hierarchy: &ClassHierarchy,
-    class: TermId,
-    par: &Parallelism,
-) -> (Solutions, ParallelReport) {
-    let subclasses: Vec<TermId> = hierarchy.direct_subclasses(class).to_vec();
-    let Some(rdf_type) = store.lookup_iri(elinda_rdf::vocab::rdf::TYPE) else {
-        let report = ParallelReport {
-            shard_busy: vec![Duration::ZERO; sharded.num_shards()],
-            wall: Duration::ZERO,
-            threads: 1,
-        };
-        return (subclass_rollup_solutions(Vec::new(), store), report);
-    };
-    let (partials, report) = map_shards(sharded, par.threads, |_, shard| {
-        subclass_rollup_partial(shard, rdf_type, class, &subclasses)
-    });
-    let mut totals = vec![0i64; subclasses.len()];
-    for partial in partials {
-        for (slot, v) in totals.iter_mut().zip(partial) {
-            *slot += v;
-        }
-    }
-    let counts = subclasses.into_iter().zip(totals).collect();
-    (subclass_rollup_solutions(counts, store), report)
-}
-
-/// Length of the intersection of two sorted, deduplicated id slices.
-pub(crate) fn sorted_intersection_len(a: &[TermId], b: &[TermId]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
-
-/// Distinct subjects of a POS range with fixed `(p, o)` — the range is
-/// sorted by subject, so a linear dedup suffices.
-fn dedup_subjects(range: &[elinda_rdf::Triple]) -> Vec<TermId> {
-    let mut out: Vec<TermId> = range.iter().map(|t| t.s).collect();
-    out.dedup();
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Object rollup
-// ---------------------------------------------------------------------------
-
-/// Column names of the object-rollup result.
-pub const OBJECT_ROLLUP_VARS: [&str; 2] = ["class", "count"];
-
-pub(crate) fn object_rollup_solutions(
-    agg: FxHashMap<TermId, i64>,
-    store: &TripleStore,
-) -> Solutions {
-    let rows = agg
-        .into_iter()
-        .map(|(c, n)| vec![Some(Value::Term(c)), Some(Value::Int(n))])
-        .collect();
-    let mut solutions = Solutions {
-        vars: OBJECT_ROLLUP_VARS.iter().map(|v| v.to_string()).collect(),
-        rows,
-    };
-    canonicalize_rows(&mut solutions, store);
-    solutions
-}
-
-/// Sequential object rollup: the nodes connected to instances of `class`
-/// via `prop` (objects for [`ExpansionDirection::Outgoing`], subjects for
-/// [`ExpansionDirection::Incoming`]), grouped by their classes, counting
-/// distinct connected nodes per class — the paper's object expansion as
-/// a chart result.
-pub fn object_rollup(
-    store: &TripleStore,
-    hierarchy: &ClassHierarchy,
-    class: TermId,
-    prop: TermId,
-    direction: ExpansionDirection,
-) -> Solutions {
-    let instances = hierarchy.instances(store, class);
-    let mut connected: Vec<TermId> = Vec::new();
-    for &s in &instances {
-        match direction {
-            ExpansionDirection::Outgoing => connected.extend(store.objects_of(s, prop)),
-            ExpansionDirection::Incoming => connected.extend(store.subjects_with(prop, s)),
-        }
-    }
-    connected.sort_unstable();
-    connected.dedup();
-    let mut agg: FxHashMap<TermId, i64> = FxHashMap::default();
-    for &o in &connected {
-        for c in hierarchy.classes_of(store, o) {
-            *agg.entry(c).or_default() += 1;
-        }
-    }
-    object_rollup_solutions(agg, store)
-}
-
-/// Gather phase partial: the connected nodes contributed by one shard
-/// (outgoing: objects of this shard's instance subjects; incoming:
-/// subjects of this shard pointing at any instance).
-pub fn object_gather_partial(
-    shard: &Shard,
-    shard_index: usize,
-    num_shards: usize,
-    instances: &[TermId],
-    prop: TermId,
-    direction: ExpansionDirection,
-) -> Vec<TermId> {
-    let mut out = Vec::new();
-    match direction {
-        ExpansionDirection::Outgoing => {
-            for &s in instances {
-                if elinda_store::shard_of(s, num_shards) != shard_index {
-                    continue;
-                }
-                out.extend(shard.spo_range(s, Some(prop)).iter().map(|t| t.o));
-            }
-        }
-        ExpansionDirection::Incoming => {
-            for &o in instances {
-                out.extend(shard.pos_range(prop, Some(o)).iter().map(|t| t.s));
-            }
-        }
-    }
-    out
-}
-
-/// Classify phase partial: per-class distinct-node counts for the
-/// connected nodes whose subject hash lands in this shard (a node's
-/// `rdf:type` triples are colocated with its other outgoing triples).
-pub fn object_classify_partial(
-    shard: &Shard,
-    shard_index: usize,
-    num_shards: usize,
-    connected: &[TermId],
-    rdf_type: Option<TermId>,
-) -> FxHashMap<TermId, i64> {
-    let mut agg: FxHashMap<TermId, i64> = FxHashMap::default();
-    let Some(ty) = rdf_type else {
-        return agg;
-    };
-    let mut classes: Vec<TermId> = Vec::new();
-    for &o in connected {
-        if elinda_store::shard_of(o, num_shards) != shard_index {
-            continue;
-        }
-        classes.clear();
-        classes.extend(shard.spo_range(o, Some(ty)).iter().map(|t| t.o));
-        classes.sort_unstable();
-        classes.dedup();
-        for &c in &classes {
-            *agg.entry(c).or_default() += 1;
-        }
-    }
-    agg
-}
-
-/// Sharded object rollup: gather connected nodes per shard, merge to a
-/// distinct set, then classify per shard and merge by keyed sum.
-pub fn object_rollup_sharded(
-    store: &TripleStore,
-    sharded: &ShardedTripleStore,
-    hierarchy: &ClassHierarchy,
-    class: TermId,
-    prop: TermId,
-    direction: ExpansionDirection,
-    par: &Parallelism,
-) -> (Solutions, ParallelReport) {
-    let instances = hierarchy.instances(store, class);
-    let n = sharded.num_shards();
-    let (gathered, mut report) = map_shards(sharded, par.threads, |i, shard| {
-        object_gather_partial(shard, i, n, &instances, prop, direction)
-    });
-    let mut connected: Vec<TermId> = gathered.into_iter().flatten().collect();
-    connected.sort_unstable();
-    connected.dedup();
-    let rdf_type = store.lookup_iri(elinda_rdf::vocab::rdf::TYPE);
-    let (partials, classify_report) = map_shards(sharded, par.threads, |i, shard| {
-        object_classify_partial(shard, i, n, &connected, rdf_type)
-    });
-    let mut agg: FxHashMap<TermId, i64> = FxHashMap::default();
-    for partial in partials {
-        for (c, count) in partial {
-            *agg.entry(c).or_default() += count;
-        }
-    }
-    for (slot, extra) in report.shard_busy.iter_mut().zip(classify_report.shard_busy) {
-        *slot += extra;
-    }
-    report.wall += classify_report.wall;
-    (object_rollup_solutions(agg, store), report)
-}
-
-// ---------------------------------------------------------------------------
-// Threshold filter
-// ---------------------------------------------------------------------------
-
-/// The threshold filter of the eLinda frontend: keep only the properties
-/// whose entity count covers at least `threshold` (a fraction in
-/// `[0, 1]`) of the `total` expanded instances. Applied to a merged
-/// (canonically ordered) property-expansion result, so it preserves
-/// byte-identity between sequential and parallel evaluations.
-pub fn filter_by_coverage(solutions: &Solutions, total: usize, threshold: f64) -> Solutions {
-    let rows = solutions
-        .rows
-        .iter()
-        .filter(|row| match row.get(1) {
-            Some(Some(Value::Int(count))) => (*count as f64) >= threshold * (total as f64),
-            _ => false,
-        })
-        .cloned()
-        .collect();
-    Solutions {
-        vars: solutions.vars.clone(),
-        rows,
-    }
+    (property_agg_solutions(counts, &q.columns, store), report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomposer::{
-        execute_decomposed, property_expansion_sparql, recognize_property_expansion,
-    };
-    use elinda_sparql::parse_query;
-
-    fn store() -> TripleStore {
-        TripleStore::from_turtle(
-            r#"
-            @prefix ex: <http://e/> .
-            @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
-            @prefix owl: <http://www.w3.org/2002/07/owl#> .
-            ex:B rdfs:subClassOf ex:A . ex:C rdfs:subClassOf ex:A .
-            ex:x a ex:A ; a ex:B ; ex:p ex:y ; ex:p ex:z ; ex:q ex:y .
-            ex:y a ex:A ; a ex:C ; ex:p ex:z .
-            ex:z a ex:A ; ex:r ex:x .
-            ex:w ex:p ex:x ; ex:p ex:y .
-            "#,
-        )
-        .unwrap()
-    }
-
-    fn id(s: &TripleStore, local: &str) -> TermId {
-        s.lookup_iri(&format!("http://e/{local}")).unwrap()
-    }
-
-    fn recognized(class: &str, dir: ExpansionDirection) -> PropertyExpansionQuery {
-        let text = property_expansion_sparql(class, dir);
-        recognize_property_expansion(&parse_query(&text).unwrap()).unwrap()
-    }
 
     #[test]
     fn parallelism_defaults_and_budget() {
@@ -871,114 +510,13 @@ mod tests {
     }
 
     #[test]
-    fn map_shards_returns_partials_in_index_order() {
-        let s = store();
+    fn map_units_returns_partials_in_index_order() {
         for threads in [1, 2, 4] {
-            let sharded = ShardedTripleStore::build(&s, 7);
-            let (partials, report) = map_shards(&sharded, threads, |i, shard| (i, shard.len()));
-            assert_eq!(partials.len(), 7);
-            for (i, (idx, len)) in partials.iter().enumerate() {
-                assert_eq!(*idx, i);
-                assert_eq!(*len, sharded.shard(i).len());
-            }
+            let (partials, report) = map_units(7, threads, |i| i * i);
+            assert_eq!(partials, (0..7).map(|i| i * i).collect::<Vec<_>>());
             assert_eq!(report.shard_busy.len(), 7);
-            assert!(report.threads >= 1);
+            assert!((1..=threads).contains(&report.threads));
         }
-    }
-
-    #[test]
-    fn sharded_matches_sequential_both_directions() {
-        let s = store();
-        let h = ClassHierarchy::build(&s);
-        for dir in [ExpansionDirection::Outgoing, ExpansionDirection::Incoming] {
-            let q = recognized("http://e/A", dir);
-            let sequential = execute_decomposed(&s, &h, &q);
-            for shards in [1, 2, 7, 16] {
-                for threads in [1, 2, 4] {
-                    let sharded = ShardedTripleStore::build(&s, shards);
-                    let (parallel, _) = execute_decomposed_sharded(
-                        &s,
-                        &sharded,
-                        &h,
-                        &q,
-                        &Parallelism::fixed(threads, shards),
-                    );
-                    assert_eq!(parallel.vars, sequential.vars);
-                    assert_eq!(parallel.rows, sequential.rows, "{dir:?} {shards} {threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unknown_class_is_empty_with_clean_report() {
-        let s = store();
-        let h = ClassHierarchy::build(&s);
-        let sharded = ShardedTripleStore::build(&s, 4);
-        let q = recognized("http://e/Nothing", ExpansionDirection::Outgoing);
-        let (sol, report) =
-            execute_decomposed_sharded(&s, &sharded, &h, &q, &Parallelism::fixed(2, 4));
-        assert!(sol.is_empty());
-        assert_eq!(report.shard_busy.len(), 4);
-    }
-
-    #[test]
-    fn subclass_rollup_sharded_matches_sequential() {
-        let s = store();
-        let h = ClassHierarchy::build(&s);
-        let a = id(&s, "A");
-        let sequential = subclass_rollup(&s, &h, a);
-        assert_eq!(sequential.rows.len(), 2); // B and C
-        for shards in [1, 2, 7, 16] {
-            let sharded = ShardedTripleStore::build(&s, shards);
-            let (parallel, _) =
-                subclass_rollup_sharded(&s, &sharded, &h, a, &Parallelism::fixed(2, shards));
-            assert_eq!(parallel.rows, sequential.rows, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn object_rollup_sharded_matches_sequential() {
-        let s = store();
-        let h = ClassHierarchy::build(&s);
-        let a = id(&s, "A");
-        let p = id(&s, "p");
-        for dir in [ExpansionDirection::Outgoing, ExpansionDirection::Incoming] {
-            let sequential = object_rollup(&s, &h, a, p, dir);
-            for shards in [1, 2, 7, 16] {
-                let sharded = ShardedTripleStore::build(&s, shards);
-                let (parallel, _) = object_rollup_sharded(
-                    &s,
-                    &sharded,
-                    &h,
-                    a,
-                    p,
-                    dir,
-                    &Parallelism::fixed(2, shards),
-                );
-                assert_eq!(parallel.rows, sequential.rows, "{dir:?} shards={shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn coverage_filter_keeps_rows_at_or_above_threshold() {
-        let s = store();
-        let h = ClassHierarchy::build(&s);
-        let q = recognized("http://e/A", ExpansionDirection::Outgoing);
-        let full = execute_decomposed(&s, &h, &q);
-        // 3 instances of A; ex:p covers 2 of them (x, y), ex:q and ex:r 1.
-        let filtered = filter_by_coverage(&full, 3, 0.5);
-        assert!(filtered.rows.len() < full.rows.len());
-        assert!(filtered
-            .rows
-            .iter()
-            .all(|r| matches!(r[1], Some(Value::Int(n)) if n >= 2)));
-        // Zero threshold keeps everything.
-        assert_eq!(
-            filter_by_coverage(&full, 3, 0.0).rows.len(),
-            full.rows.len()
-        );
     }
 
     #[test]

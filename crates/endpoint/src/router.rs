@@ -2,10 +2,11 @@
 //!
 //! Routing, per the paper: check the HVS first; then the exploration
 //! result cache (a fresh hit returns the finished chart bytes); if the
-//! query is a recognized property expansion whose class frontier — or a
-//! cached parent's — is available, evaluate incrementally from that
-//! frontier; otherwise answer with the decomposer (precomputed >
-//! sharded > sequential) or route to the direct ("Virtuoso") executor.
+//! query is a recognized property expansion, evaluate the chart kernel
+//! over its class's members — a cached (or parent-derived) frontier when
+//! one is available, the class closure otherwise — on the threaded driver
+//! when the parallelism budget fans out and the sequential one when not;
+//! everything else routes to the direct ("Virtuoso") executor.
 //! Measured runtimes at or above the heavy threshold are recorded in the
 //! HVS, finished chart results and class frontiers in the result cache,
 //! and both are invalidated whenever the knowledge base's epoch moves.
@@ -18,38 +19,21 @@
 //! and a cache key can never alias two queries with different answers.
 
 use crate::cache::{normalize_query_text, CacheConfig, CacheStats, ResultCache};
-use crate::decomposer::{
-    execute_decomposed, execute_precomputed, recognize_property_expansion, PropertyExpansionQuery,
-};
+use crate::decomposer::{class_members, recognize_property_expansion, PropertyExpansionQuery};
 use crate::engine::{QueryContext, QueryEngine, QueryOutcome, ServeError, ServedBy};
 use crate::hvs::{HeavyQueryStore, HvsConfig, HvsStats};
-use crate::incremental::{
-    execute_decomposed_from_frontier, seed_child_frontier, try_execute_sharded_from_frontier,
-};
+use crate::incremental::{execute_decomposed_from_frontier, seed_child_frontier};
 use crate::novelty::{CompactionReport, NoveltyStore};
-use crate::parallel::{try_execute_decomposed_sharded, ParallelStats, Parallelism};
+use crate::parallel::{try_execute_decomposed_chunked, ParallelStats, Parallelism};
 use crate::trace::push_json_str;
 use elinda_rdf::TermId;
 use elinda_sparql::exec::QueryError;
 use elinda_sparql::{parse_query, Executor};
-use elinda_store::{ClassHierarchy, PropertyAggregates, ShardedTripleStore, TripleStore};
+use elinda_store::{ClassHierarchy, TripleStore};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How the decomposer answers recognized queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecomposerMode {
-    /// Scan the instance index runs at query time (the default: no extra
-    /// memory, works after any update without rebuilding).
-    #[default]
-    OnDemand,
-    /// Serve from fully precomputed `(class, property)` aggregates
-    /// materialized at endpoint construction — faster per query, paid for
-    /// with preprocessing time and memory (the ablation variant).
-    Precomputed,
-}
 
 /// Endpoint configuration: each acceleration can be toggled, as in the
 /// demonstration ("with the discussed solutions turned on and off").
@@ -59,15 +43,13 @@ pub struct EndpointConfig {
     pub enable_hvs: bool,
     /// Rewrite recognized property-expansion queries onto the indexes.
     pub enable_decomposer: bool,
-    /// On-demand index scans or fully precomputed aggregates.
-    pub decomposer_mode: DecomposerMode,
     /// HVS settings.
     pub hvs: HvsConfig,
     /// Intra-query parallelism budget for decomposed aggregations
-    /// (default sequential). When it fans out, the endpoint builds a
-    /// [`ShardedTripleStore`] snapshot at construction and answers
-    /// recognized expansions with the map-per-shard / merge-partials
-    /// evaluator — byte-identical to the sequential path on the wire.
+    /// (default sequential). When it fans out, recognized expansions cut
+    /// their member set into `shards` chunks and scan them on `threads`
+    /// workers over the one shared store — byte-identical to the
+    /// sequential path on the wire.
     pub parallelism: Parallelism,
     /// Serve repeated chart queries from the epoch-aware result cache and
     /// seed child expansions from cached parent frontiers.
@@ -82,7 +64,6 @@ impl EndpointConfig {
         EndpointConfig {
             enable_hvs: true,
             enable_decomposer: true,
-            decomposer_mode: DecomposerMode::OnDemand,
             hvs: HvsConfig::default(),
             parallelism: Parallelism::sequential(),
             enable_cache: true,
@@ -95,7 +76,6 @@ impl EndpointConfig {
         EndpointConfig {
             enable_hvs: false,
             enable_decomposer: false,
-            decomposer_mode: DecomposerMode::OnDemand,
             hvs: HvsConfig::default(),
             parallelism: Parallelism::sequential(),
             enable_cache: false,
@@ -110,7 +90,6 @@ impl EndpointConfig {
         EndpointConfig {
             enable_hvs: false,
             enable_decomposer: true,
-            decomposer_mode: DecomposerMode::OnDemand,
             hvs: HvsConfig::default(),
             parallelism: Parallelism::sequential(),
             enable_cache: false,
@@ -130,45 +109,36 @@ impl EndpointConfig {
 /// The evaluation path picked by the route decision, carrying the
 /// recognized property-expansion shape where one applies.
 enum EvalPlan {
-    /// Evaluate from a cached (or parent-derived) entity frontier instead
-    /// of re-deriving the class's instance set.
-    Incremental(PropertyExpansionQuery, Arc<Vec<TermId>>),
-    /// Serve from the materialized `(class, property)` aggregates.
-    Precomputed(PropertyExpansionQuery),
-    /// Fan the decomposed aggregation across the shard snapshot.
-    Sharded(PropertyExpansionQuery),
-    /// Sequential decomposed evaluation on the live indexes.
-    Decomposed(PropertyExpansionQuery),
+    /// Run the chart kernel over `members`: a cached (or parent-derived)
+    /// frontier when `seeded`, the class's freshly derived instance set
+    /// otherwise.
+    Chart {
+        rec: PropertyExpansionQuery,
+        members: Arc<Vec<TermId>>,
+        seeded: bool,
+    },
     /// A recognized chart evaluated on the plain executor (the
     /// uncompacted-writes window, when no index generation matches the
     /// view), then canonicalized — byte-identical to the chart tiers.
-    DirectChart(PropertyExpansionQuery),
+    DirectChart,
     /// The plain SPARQL executor.
     Direct,
 }
 
 impl EvalPlan {
-    fn name(&self) -> &'static str {
+    /// The `/explain` path and `route` span tag of this plan.
+    fn path(&self) -> &'static str {
         match self {
-            EvalPlan::Incremental(..) => "incremental",
-            EvalPlan::Precomputed(_) => "precomputed",
-            EvalPlan::Sharded(_) => "sharded",
-            EvalPlan::Decomposed(_) => "decomposed",
-            EvalPlan::DirectChart(_) => "direct",
-            EvalPlan::Direct => "direct",
+            EvalPlan::Chart { seeded: true, .. } => "incremental",
+            EvalPlan::Chart { seeded: false, .. } => "decomposed",
+            EvalPlan::DirectChart | EvalPlan::Direct => "direct",
         }
     }
 
-    /// The recognized chart shape, when this plan evaluates one.
-    fn recognized(&self) -> Option<&PropertyExpansionQuery> {
-        match self {
-            EvalPlan::Incremental(rec, _) => Some(rec),
-            EvalPlan::Precomputed(rec)
-            | EvalPlan::Sharded(rec)
-            | EvalPlan::Decomposed(rec)
-            | EvalPlan::DirectChart(rec) => Some(rec),
-            EvalPlan::Direct => None,
-        }
+    /// True when this plan answers a recognized chart (whose finished
+    /// result may enter the result cache).
+    fn is_chart(&self) -> bool {
+        !matches!(self, EvalPlan::Direct)
     }
 }
 
@@ -186,10 +156,10 @@ pub struct ExplainReport {
     /// The parse error, when the query is invalid.
     pub parse_error: Option<String>,
     /// The predicted serving path: `hvs`, `cache-hit`, `incremental`,
-    /// `precomputed`, `sharded`, `decomposed`, `direct`, or `invalid`.
+    /// `decomposed`, `direct`, or `invalid`.
     pub path: &'static str,
-    /// Number of shards the predicted path would fan across (1 on every
-    /// sequential path).
+    /// Number of work units the predicted path would fan across (1 on
+    /// every sequential path).
     pub shards: usize,
     /// The data epoch the prediction was made against.
     pub data_epoch: u64,
@@ -231,10 +201,10 @@ pub struct ElindaEndpoint<S: Borrow<TripleStore>> {
     /// store. Reads then consume the overlay's merged view snapshot
     /// instead of `store` directly.
     novelty: Option<Arc<NoveltyStore>>,
-    /// The derived read indexes (hierarchy, precomputed aggregates,
-    /// sharded snapshot), rebuilt as a unit by [`Self::refresh`] after a
-    /// compaction. Readers clone the `Arc`s out under a brief read lock,
-    /// so a query consults one consistent index generation end to end.
+    /// The derived read index (the class hierarchy), rebuilt by
+    /// [`Self::refresh`] after a compaction. Readers clone the `Arc` out
+    /// under a brief read lock, so a query consults one consistent index
+    /// generation end to end.
     indexes: RwLock<Indexes>,
     hvs: HeavyQueryStore,
     /// Cumulative per-shard timings and speedup, fed by the parallel path.
@@ -247,42 +217,29 @@ pub struct ElindaEndpoint<S: Borrow<TripleStore>> {
     config: EndpointConfig,
 }
 
-/// One generation of derived read indexes, tagged with the store
-/// snapshot it was built from. Cloning is cheap (`Arc`s).
+/// One generation of the derived read index, tagged with the store
+/// snapshot it was built from. Cloning is cheap (an `Arc`).
 #[derive(Clone)]
 struct Indexes {
-    /// Epoch of the view these indexes were built from.
+    /// Epoch of the view this generation was built from.
     epoch: u64,
     /// Lineage id of that view (see [`TripleStore::store_id`]).
     store_id: u64,
     hierarchy: Arc<ClassHierarchy>,
-    /// Materialized only in [`DecomposerMode::Precomputed`].
-    aggregates: Option<Arc<PropertyAggregates>>,
-    /// Sharded snapshot for intra-query parallelism; built only when the
-    /// configured [`Parallelism`] actually fans out.
-    sharded: Option<Arc<ShardedTripleStore>>,
 }
 
 impl Indexes {
-    fn build(store: &TripleStore, config: &EndpointConfig) -> Self {
-        let hierarchy = Arc::new(ClassHierarchy::build(store));
-        let aggregates = (config.enable_decomposer
-            && config.decomposer_mode == DecomposerMode::Precomputed)
-            .then(|| Arc::new(PropertyAggregates::build(store, &hierarchy)));
-        let sharded = (config.enable_decomposer && config.parallelism.is_parallel())
-            .then(|| Arc::new(ShardedTripleStore::build(store, config.parallelism.shards)));
+    fn build(store: &TripleStore) -> Self {
         Indexes {
             epoch: store.epoch(),
             store_id: store.store_id(),
-            hierarchy,
-            aggregates,
-            sharded,
+            hierarchy: Arc::new(ClassHierarchy::build(store)),
         }
     }
 
-    /// True when these indexes were built from exactly this view
-    /// snapshot — the precondition for consulting the hierarchy (which,
-    /// unlike the aggregates and shards, carries no own staleness check).
+    /// True when this generation was built from exactly this view
+    /// snapshot — the precondition for consulting the hierarchy, which
+    /// carries no staleness check of its own.
     fn is_fresh(&self, store: &TripleStore) -> bool {
         self.store_id == store.store_id() && self.epoch == store.epoch()
     }
@@ -290,9 +247,7 @@ impl Indexes {
 
 impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
     /// Build the endpoint (computes the class hierarchy "mirror" once, as
-    /// the paper's endpoint preprocesses its knowledge-base mirrors; in
-    /// precomputed mode this also materializes every `(class, property)`
-    /// aggregate).
+    /// the paper's endpoint preprocesses its knowledge-base mirrors).
     pub fn new(store: S, config: EndpointConfig) -> Self {
         Self::build(store, None, config)
     }
@@ -314,7 +269,7 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
             Some(v) => v,
             None => store.borrow(),
         };
-        let indexes = Indexes::build(s, &config);
+        let indexes = Indexes::build(s);
         let hvs = HeavyQueryStore::new(config.hvs.clone(), s.epoch());
         let cache = config.enable_cache.then(|| {
             let cache = ResultCache::new(config.cache);
@@ -349,16 +304,16 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
         Arc::clone(&self.indexes.read().hierarchy)
     }
 
-    /// Rebuild the derived read indexes (hierarchy, aggregates, sharded
-    /// snapshot) from the current view — the post-compaction step that
-    /// re-establishes the fast paths on the new base.
+    /// Rebuild the class hierarchy from the current view — the
+    /// post-compaction step that re-establishes the chart paths on the
+    /// new base.
     pub fn refresh(&self) {
         let view = self.novelty.as_ref().map(|n| n.view());
         let s: &TripleStore = match &view {
             Some(v) => v,
             None => self.store.borrow(),
         };
-        let fresh = Indexes::build(s, &self.config);
+        let fresh = Indexes::build(s);
         *self.indexes.write() = fresh;
     }
 
@@ -397,11 +352,8 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
     /// Snapshot of the cumulative parallel-execution statistics, or
     /// `None` when intra-query parallelism is off.
     pub fn parallel_stats(&self) -> Option<ParallelStats> {
-        self.indexes
-            .read()
-            .sharded
-            .as_ref()
-            .map(|_| self.parallel_stats.lock().clone())
+        (self.config.enable_decomposer && self.config.parallelism.is_parallel())
+            .then(|| self.parallel_stats.lock().clone())
     }
 
     /// The shared result cache, or `None` when caching is off — handed to
@@ -470,9 +422,69 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
         None
     }
 
+    /// The route decision, shared by the live path and `/explain`: which
+    /// plan evaluates a parsed query whose chart shape (if any) is
+    /// `recognized`, against view `store` and index generation `ix`. With
+    /// `live` off nothing is counted or recorded.
+    fn route(
+        &self,
+        store: &TripleStore,
+        ix: &Indexes,
+        recognized: Option<PropertyExpansionQuery>,
+        live: bool,
+    ) -> EvalPlan {
+        let Some(rec) = recognized.filter(|_| self.config.enable_decomposer) else {
+            return EvalPlan::Direct;
+        };
+        // Uncompacted writes: the index generation (and its hierarchy,
+        // which member derivation consults) predates the view, so a
+        // recognized chart answers on the direct executor —
+        // byte-identical by the canonical finisher, just slower until
+        // compaction restores the chart path.
+        if !ix.is_fresh(store) {
+            return EvalPlan::DirectChart;
+        }
+        let epoch = store.epoch();
+        let frontier = self
+            .cache
+            .as_ref()
+            .and_then(|cache| self.find_frontier(store, &ix.hierarchy, cache, &rec, epoch, live));
+        if let Some(members) = frontier {
+            return EvalPlan::Chart {
+                rec,
+                members,
+                seeded: true,
+            };
+        }
+        // Cold: derive the class closure once, and record it so a later
+        // expansion along the same exploration path can seed from it.
+        let members = Arc::new(class_members(store, &ix.hierarchy, &rec));
+        if live && !members.is_empty() {
+            if let (Some(cache), Some(iri)) = (&self.cache, rec.class.as_iri()) {
+                cache.record_frontier(iri, Arc::clone(&members), epoch);
+            }
+        }
+        EvalPlan::Chart {
+            rec,
+            members,
+            seeded: false,
+        }
+    }
+
+    /// Work units `plan` evaluates across: the parallelism budget's for a
+    /// chart when it fans out, 1 on every sequential path.
+    fn fanout(&self, plan: &EvalPlan) -> usize {
+        match plan {
+            EvalPlan::Chart { .. } if self.config.parallelism.is_parallel() => {
+                self.config.parallelism.shards
+            }
+            _ => 1,
+        }
+    }
+
     /// Predict how [`QueryEngine::execute_with`] would route `query`
     /// right now, without executing it — the same decision sequence
-    /// (HVS → recognition → index freshness) against the current store
+    /// (HVS → cache → parse → `route`) against the current store
     /// state. Backs the server's `GET /explain` route.
     pub fn explain(&self, query: &str) -> ExplainReport {
         let view = self.novelty.as_ref().map(|n| n.view());
@@ -486,7 +498,6 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
             cache.sync_epoch(epoch);
         }
         let ix = self.indexes.read().clone();
-        let ix_fresh = ix.is_fresh(store);
         let normalized = normalize_query_text(query);
         let query = normalized.as_str();
         let hvs_hit = self.config.enable_hvs && self.hvs.peek(query);
@@ -499,52 +510,20 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
             Ok(parsed) => (Some(recognize_property_expansion(&parsed)), None),
             Err(e) => (None, Some(QueryError::Parse(e).to_string())),
         };
+        let is_recognized = recognized.as_ref().map(Option::is_some);
         let (path, shards) = if hvs_hit {
             ("hvs", 1)
         } else if parse_error.is_some() {
             ("invalid", 1)
         } else if cache_hit {
             ("cache-hit", 1)
-        } else if self.config.enable_decomposer {
-            match recognized.as_ref().and_then(|r| r.as_ref()) {
-                Some(rec) => {
-                    // Same frontier probe as the live route, minus the
-                    // record side effect: explaining must not mutate.
-                    // Frontier derivation consults the hierarchy, so it
-                    // requires a fresh index generation.
-                    let frontier = ix_fresh
-                        .then(|| {
-                            self.cache.as_ref().and_then(|cache| {
-                                self.find_frontier(store, &ix.hierarchy, cache, rec, epoch, false)
-                            })
-                        })
-                        .flatten();
-                    if frontier.is_some() {
-                        ("incremental", 1)
-                    } else {
-                        match &ix.aggregates {
-                            Some(agg) if !agg.is_stale(store) => ("precomputed", 1),
-                            _ => match &ix.sharded {
-                                Some(sharded) if !sharded.is_stale(store) => {
-                                    ("sharded", sharded.num_shards())
-                                }
-                                // A stale hierarchy cannot drive the
-                                // decomposed path; uncompacted writes
-                                // answer on the direct executor.
-                                _ if ix_fresh => ("decomposed", 1),
-                                _ => ("direct", 1),
-                            },
-                        }
-                    }
-                }
-                None => ("direct", 1),
-            }
         } else {
-            ("direct", 1)
+            let plan = self.route(store, &ix, recognized.flatten(), false);
+            (plan.path(), self.fanout(&plan))
         };
         ExplainReport {
             hvs_hit,
-            recognized: recognized.map(|r| r.is_some()),
+            recognized: is_recognized,
             parse_error,
             path,
             shards,
@@ -560,8 +539,8 @@ impl<S: Borrow<TripleStore> + Send + Sync> QueryEngine for ElindaEndpoint<S> {
 
     /// The routing pipeline under a per-request deadline, checked
     /// cooperatively at every stage boundary (HVS lookup → cache lookup →
-    /// parse → evaluate) and handed into the sharded parallel evaluator,
-    /// whose workers re-check it between shard maps. When the context
+    /// parse → evaluate) and handed into the threaded chart driver,
+    /// whose workers re-check it between member chunks. When the context
     /// carries a sampled trace, each stage records a span (`hvs`, `cache`,
     /// `parse`, `route`, `eval` with nested `fanout`/`shard/<i>`/`merge`).
     fn execute_with(&self, query: &str, ctx: &QueryContext) -> Result<QueryOutcome, ServeError> {
@@ -580,13 +559,12 @@ impl<S: Borrow<TripleStore> + Send + Sync> QueryEngine for ElindaEndpoint<S> {
         if let Some(cache) = &self.cache {
             cache.sync_epoch(epoch);
         }
-        // One consistent index generation for the whole query: the
-        // staleness checks below compare these snapshots against the
-        // captured view, never against a live (concurrently compacting)
-        // field — a sharded snapshot built before a compaction can
-        // therefore never be consulted after the epoch bump.
+        // One consistent index generation for the whole query: its
+        // freshness is judged against the captured view, never against a
+        // live (concurrently compacting) field — a hierarchy built before
+        // a compaction can therefore never be consulted after the epoch
+        // bump.
         let ix = self.indexes.read().clone();
-        let ix_fresh = ix.is_fresh(store);
         // Canonicalize once at ingress; everything downstream — parse,
         // HVS keys, cache keys — sees the normalized text, so the cache
         // key is the executed query and can never alias another one.
@@ -640,70 +618,21 @@ impl<S: Borrow<TripleStore> + Send + Sync> QueryEngine for ElindaEndpoint<S> {
         // before evaluating keeps the decision observable (the `route`
         // span and `/explain`) and the stage spans disjoint.
         let mut route_span = trace.span("route");
-        let plan = if self.config.enable_decomposer {
-            match recognize_property_expansion(&parsed) {
-                Some(rec) if ix_fresh => {
-                    let frontier = self.cache.as_ref().and_then(|cache| {
-                        self.find_frontier(store, &ix.hierarchy, cache, &rec, epoch, true)
-                    });
-                    match frontier {
-                        // A cached (or parent-derived) frontier: evaluate
-                        // incrementally over its members instead of
-                        // re-deriving the instance set.
-                        Some(members) => EvalPlan::Incremental(rec, members),
-                        None => {
-                            // Cold path: record this class's frontier so a
-                            // later expansion along the same exploration
-                            // path can seed from it.
-                            if let Some(cache) = &self.cache {
-                                if let (Some(iri), Some(class_id)) =
-                                    (rec.class.as_iri(), store.interner().get(&rec.class))
-                                {
-                                    let members = ix.hierarchy.instances(store, class_id);
-                                    cache.record_frontier(iri, Arc::new(members), epoch);
-                                }
-                            }
-                            match &ix.aggregates {
-                                // A stale precomputed index falls back to the
-                                // on-demand path rather than serving old counts.
-                                Some(agg) if !agg.is_stale(store) => EvalPlan::Precomputed(rec),
-                                _ => match &ix.sharded {
-                                    // Likewise: a stale sharded snapshot falls
-                                    // back to sequential evaluation rather than
-                                    // serving pre-update counts.
-                                    Some(sharded) if !sharded.is_stale(store) => {
-                                        EvalPlan::Sharded(rec)
-                                    }
-                                    _ => EvalPlan::Decomposed(rec),
-                                },
-                            }
-                        }
-                    }
-                }
-                // Uncompacted writes: the index generation (and its
-                // hierarchy, which the decomposed and frontier paths
-                // consult) predates the view, so a recognized chart
-                // answers on the direct executor — byte-identical by the
-                // canonical finisher, just slower until compaction
-                // restores the fast rungs.
-                Some(rec) => EvalPlan::DirectChart(rec),
-                None => EvalPlan::Direct,
-            }
-        } else {
-            EvalPlan::Direct
-        };
-        route_span.tag("path", plan.name());
+        let plan = self.route(store, &ix, recognize_property_expansion(&parsed), true);
+        let shards_used = self.fanout(&plan);
+        route_span.tag("path", plan.path());
         drop(route_span);
 
         let mut eval_span = trace.span("eval");
-        let (solutions, served_by, shards_used) = match &plan {
-            EvalPlan::Incremental(rec, members) => match &ix.sharded {
-                // The frontier also restricts the shard scans, so the
-                // parallel evaluator benefits from the seed when fresh.
-                Some(sharded) if !sharded.is_stale(store) => {
-                    let (solutions, report) = try_execute_sharded_from_frontier(
+        let (solutions, served_by) = match &plan {
+            EvalPlan::Chart {
+                rec,
+                members,
+                seeded,
+            } => {
+                let solutions = if shards_used > 1 {
+                    let (solutions, report) = try_execute_decomposed_chunked(
                         store,
-                        sharded,
                         members,
                         rec,
                         &self.config.parallelism,
@@ -712,57 +641,31 @@ impl<S: Borrow<TripleStore> + Send + Sync> QueryEngine for ElindaEndpoint<S> {
                         eval_span.id(),
                     )?;
                     self.parallel_stats.lock().record(&report);
-                    (solutions, ServedBy::Incremental, sharded.num_shards())
-                }
-                _ => (
-                    execute_decomposed_from_frontier(store, members, rec),
-                    ServedBy::Incremental,
-                    1,
-                ),
-            },
-            EvalPlan::Precomputed(rec) => {
-                let agg = ix.aggregates.as_ref().expect("plan implies aggregates");
-                (
-                    execute_precomputed(store, agg, rec),
-                    ServedBy::Decomposer,
-                    1,
-                )
+                    solutions
+                } else {
+                    execute_decomposed_from_frontier(store, members, rec)
+                };
+                let served_by = if *seeded {
+                    ServedBy::Incremental
+                } else {
+                    ServedBy::Decomposer
+                };
+                (solutions, served_by)
             }
-            EvalPlan::Sharded(rec) => {
-                let sharded = ix.sharded.as_ref().expect("plan implies shards");
-                let (solutions, report) = try_execute_decomposed_sharded(
-                    store,
-                    sharded,
-                    &ix.hierarchy,
-                    rec,
-                    &self.config.parallelism,
-                    deadline,
-                    trace,
-                    eval_span.id(),
-                )?;
-                self.parallel_stats.lock().record(&report);
-                (solutions, ServedBy::Decomposer, sharded.num_shards())
-            }
-            EvalPlan::Decomposed(rec) => (
-                execute_decomposed(store, &ix.hierarchy, rec),
-                ServedBy::Decomposer,
-                1,
-            ),
-            EvalPlan::DirectChart(_) => {
+            EvalPlan::DirectChart => {
                 let mut solutions = Executor::new(store)
                     .execute(&parsed)
                     .map_err(QueryError::Exec)?;
                 // Same finisher as every chart tier: the pre-compaction
                 // answer is byte-identical to the post-compaction one.
                 crate::parallel::canonicalize_rows(&mut solutions, store);
-                (solutions, ServedBy::Direct, 1)
+                (solutions, ServedBy::Direct)
             }
             EvalPlan::Direct => (
                 Executor::new(store)
                     .execute(&parsed)
                     .map_err(QueryError::Exec)?,
                 ServedBy::Direct,
-                1,
             ),
         };
         let elapsed = start.elapsed();
@@ -772,7 +675,7 @@ impl<S: Borrow<TripleStore> + Send + Sync> QueryEngine for ElindaEndpoint<S> {
         // Only finished chart results enter the result cache: the chart
         // tiers share one canonical finisher, so a later cache hit is
         // byte-identical to re-evaluation on any tier.
-        if plan.recognized().is_some() {
+        if plan.is_chart() {
             if let Some(cache) = &self.cache {
                 cache.record(query, &solutions, epoch);
             }
@@ -843,22 +746,6 @@ mod tests {
         // Other queries still go direct.
         let out = ep.execute("SELECT ?s WHERE { ?s ?p ?o }").unwrap();
         assert_eq!(out.served_by, ServedBy::Direct);
-    }
-
-    #[test]
-    fn precomputed_mode_agrees_with_on_demand() {
-        let s = store();
-        let mut cfg = EndpointConfig::decomposer_only();
-        cfg.decomposer_mode = DecomposerMode::Precomputed;
-        let pre = ElindaEndpoint::new(&s, cfg);
-        let on_demand = ElindaEndpoint::new(&s, EndpointConfig::decomposer_only());
-        for dir in [ExpansionDirection::Outgoing, ExpansionDirection::Incoming] {
-            let q = property_expansion_sparql(elinda_rdf::vocab::owl::THING, dir);
-            let a = pre.execute(&q).unwrap();
-            let b = on_demand.execute(&q).unwrap();
-            assert_eq!(a.served_by, ServedBy::Decomposer);
-            assert_eq!(a.solutions.len(), b.solutions.len());
-        }
     }
 
     #[test]
@@ -954,7 +841,7 @@ mod tests {
             ep.execute(&q).unwrap().solutions.len()
         };
         // Give ex:c an outgoing edge with a brand-new property; the
-        // rebuilt endpoint's shard snapshot must reflect it.
+        // rebuilt endpoint must reflect it.
         let c = s.lookup_iri("http://e/c").unwrap();
         let r = s.intern(elinda_rdf::Term::iri("http://e/r"));
         s.insert(c, r, c);
@@ -1023,7 +910,8 @@ mod tests {
         let ep = ElindaEndpoint::with_novelty(Arc::clone(&s), cfg, Arc::clone(&novelty));
         let q =
             property_expansion_sparql(elinda_rdf::vocab::owl::THING, ExpansionDirection::Outgoing);
-        assert_eq!(ep.explain(&q).path, "sharded");
+        let explain = ep.explain(&q);
+        assert_eq!((explain.path, explain.shards), ("decomposed", 3));
         novelty.apply(
             &elinda_sparql::parse_update("INSERT DATA { <http://e/z> <http://e/p> <http://e/a> }")
                 .unwrap(),
@@ -1032,7 +920,7 @@ mod tests {
         assert_eq!(explain.path, "direct", "stale window answers direct");
         assert_eq!(explain.data_epoch, novelty.epoch());
         ep.compact().unwrap();
-        assert_eq!(ep.explain(&q).path, "sharded");
+        assert_eq!(ep.explain(&q).path, "decomposed");
     }
 
     #[test]
@@ -1059,6 +947,90 @@ mod tests {
         assert_eq!(out.served_by, ServedBy::Direct);
         let stats = ep.cache_stats().unwrap();
         assert!(stats.invalidations >= 1, "write must demote fresh entries");
+    }
+
+    /// `/explain` and the live route are one function: for every
+    /// configuration and exploration step, the predicted path and fan-out
+    /// are the ones the execution that follows reports.
+    #[test]
+    fn explain_predicts_the_path_and_fanout_the_live_route_takes() {
+        use crate::novelty::{NoveltyConfig, NoveltyStore};
+        use crate::resilience::Deadline;
+        use crate::trace::TraceCtx;
+
+        let s = Arc::new(
+            TripleStore::from_turtle(
+                r#"
+                @prefix ex: <http://e/> .
+                @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+                ex:Person rdfs:subClassOf ex:Agent .
+                ex:alice a ex:Agent , ex:Person ; ex:knows ex:bob .
+                ex:bob a ex:Agent , ex:Person ; ex:knows ex:alice .
+                ex:org a ex:Agent ; ex:owns ex:alice .
+                "#,
+            )
+            .unwrap(),
+        );
+        let parent = property_expansion_sparql("http://e/Agent", ExpansionDirection::Outgoing);
+        let child = property_expansion_sparql("http://e/Person", ExpansionDirection::Outgoing);
+        let configs = [
+            ("decomposer_only", EndpointConfig::decomposer_only(), false),
+            ("full", EndpointConfig::full(), false),
+            (
+                "parallel",
+                EndpointConfig::parallel(Parallelism::fixed(2, 4)),
+                false,
+            ),
+            (
+                "staged write",
+                EndpointConfig::parallel(Parallelism::fixed(2, 4)),
+                true,
+            ),
+        ];
+        // (step, query run first, query explained then executed)
+        let steps = [
+            ("cold", None, &parent),
+            ("repeated", Some(&parent), &parent),
+            ("child after parent", Some(&parent), &child),
+        ];
+        for (name, config, staged_write) in configs {
+            for (step, warm_up, q) in steps {
+                let novelty = Arc::new(NoveltyStore::new(Arc::clone(&s), NoveltyConfig::default()));
+                let ep = ElindaEndpoint::with_novelty(Arc::clone(&s), config.clone(), novelty);
+                if let Some(first) = warm_up {
+                    ep.execute(first).unwrap();
+                }
+                if staged_write {
+                    let insert = "INSERT DATA { <http://e/z> <http://e/knows> <http://e/bob> }";
+                    let novelty = ep.novelty().unwrap();
+                    novelty.apply(&elinda_sparql::parse_update(insert).unwrap());
+                }
+                let predicted = ep.explain(q);
+                let trace = TraceCtx::sampled("t");
+                let ctx = QueryContext::with_deadline_and_trace(Deadline::unbounded(), trace);
+                let outcome = ep.execute_with(q, &ctx).unwrap();
+                let spans = ctx.trace.finish("ok").unwrap().spans;
+                // A cache answer returns before the route decision.
+                let taken = match outcome.served_by {
+                    ServedBy::CacheHit => "cache-hit".to_string(),
+                    _ => {
+                        let route = spans.iter().find(|s| s.name == "route").unwrap();
+                        route
+                            .tags
+                            .iter()
+                            .find(|(k, _)| k == "path")
+                            .unwrap()
+                            .1
+                            .clone()
+                    }
+                };
+                assert_eq!(predicted.path, taken, "{name}, {step}: path");
+                assert_eq!(
+                    predicted.shards, outcome.shards_used,
+                    "{name}, {step}: fan-out"
+                );
+            }
+        }
     }
 
     #[test]

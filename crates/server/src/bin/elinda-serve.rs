@@ -309,7 +309,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: elinda-serve [--addr HOST:PORT] [--workers N] \
-                     [--queue-depth N] [--scale F] [--shards N] \
+                     [--queue-depth N] [--scale F] \
+                     [--shards N (work units per chart query)] \
                      [--intra-query-threads N (0 = auto core budget)] \
                      [--deadline-ms N (0 = unbounded)] [--retry N] \
                      [--breaker N (failure threshold, 0 = never trips)] \
@@ -636,7 +637,7 @@ fn main() {
         }
     };
     eprintln!(
-        "listening on http://{} ({} workers, queue depth {}, {} shards × {} threads/query, {} front-end)",
+        "listening on http://{} ({} workers, queue depth {}, {} units × {} threads/query, {} front-end)",
         handle.local_addr(),
         args.workers,
         args.queue_depth,

@@ -20,21 +20,10 @@ use std::time::{Duration, Instant};
 /// the health probe before the spawn is declared failed.
 const READY_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Locate the workspace's `elinda-serve` binary next to the test
-/// executable (`target/<profile>/deps/<test>` → `target/<profile>/`).
+/// The `elinda-serve` binary of this build: cargo builds the package's
+/// binaries before its integration tests and hands their paths over.
 pub fn serve_binary() -> PathBuf {
-    let exe = std::env::current_exe().expect("test executable path");
-    let profile_dir = exe
-        .parent()
-        .and_then(|deps| deps.parent())
-        .expect("target profile directory");
-    let bin = profile_dir.join("elinda-serve");
-    assert!(
-        bin.exists(),
-        "elinda-serve binary not found at {} — build the workspace first",
-        bin.display()
-    );
-    bin
+    PathBuf::from(env!("CARGO_BIN_EXE_elinda-serve"))
 }
 
 /// A spawned `elinda-serve` process bound to an ephemeral port.

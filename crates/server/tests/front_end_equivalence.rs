@@ -12,7 +12,7 @@
 #![cfg(unix)]
 
 use elinda_endpoint::decomposer::{property_expansion_sparql, ExpansionDirection};
-use elinda_endpoint::{DecomposerMode, EndpointConfig, Parallelism};
+use elinda_endpoint::{EndpointConfig, Parallelism};
 use elinda_server::{percent_encode, serve, ServerConfig, ServerState};
 use elinda_store::TripleStore;
 use std::io::{Read, Write};
@@ -287,15 +287,8 @@ fn hvs_tier_is_byte_identical_across_front_ends() {
 }
 
 #[test]
-fn precomputed_and_sharded_plans_are_byte_identical_across_front_ends() {
+fn threaded_plan_is_byte_identical_across_front_ends() {
     let chart = property_expansion_sparql("http://e/Parent", ExpansionDirection::Outgoing);
     let script = vec![get_sparql("chart", &chart, "id-plan-1")];
-
-    // Precomputed aggregates.
-    let mut precomputed = EndpointConfig::full();
-    precomputed.decomposer_mode = DecomposerMode::Precomputed;
-    assert_equivalent(precomputed, &script);
-
-    // Sharded parallel evaluation.
     assert_equivalent(EndpointConfig::parallel(Parallelism::fixed(2, 7)), &script);
 }

@@ -584,9 +584,11 @@ fn sampled_trace_is_retrievable_and_stage_sum_tracks_end_to_end_latency() {
     use elinda_datagen::{generate_dbpedia, DbpediaConfig};
     use elinda_endpoint::decomposer::{property_expansion_sparql, ExpansionDirection};
 
-    // A paper-shape store so the traced request does real work and the
-    // stage spans dwarf the untraced gaps between them.
-    let store = Arc::new(generate_dbpedia(&DbpediaConfig::tiny()));
+    // A paper-shape store big enough that the traced request does
+    // milliseconds of real work: the untraced gaps between stage spans
+    // (queue hand-off, a pre-emption while sibling tests run) are then
+    // well inside the 10% the acceptance bound allows.
+    let store = Arc::new(generate_dbpedia(&DbpediaConfig::tiny().scaled(8.0)));
     let state = Arc::new(ServerState::new(Arc::clone(&store), EndpointConfig::full()));
     let handle = serve(
         Arc::clone(&state),

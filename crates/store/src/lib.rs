@@ -6,9 +6,9 @@
 //! bases … in a Virtuoso SPARQL database" plus "specialized indexes to
 //! accelerate heavy queries" (Section 4). This crate is that mirror:
 //!
-//! * [`TripleStore`] — an in-memory store with three sorted permutation
-//!   indexes (SPO / POS / OSP) answering any triple pattern with a binary
-//!   search plus a contiguous range scan;
+//! * [`TripleStore`] — an in-memory store over a [`TripleIndex`]: three
+//!   sorted permutations (SPO / POS / OSP) answering any triple pattern
+//!   with a binary search plus a contiguous range scan;
 //! * [`pattern`] — triple-pattern matching over the best index;
 //! * [`schema`] — the class hierarchy (`rdfs:subClassOf`), instance sets,
 //!   root detection (including root-less datasets such as LinkedGeoData);
@@ -17,9 +17,9 @@
 //! * [`labels`] — `rdfs:label` lookup and the autocomplete class search;
 //! * [`aggregates`] — the specialized `(class, property)` aggregate
 //!   indexes targeted by the eLinda decomposer;
-//! * [`shard`] — a subject-hash-partitioned snapshot of the store whose
-//!   per-shard permutation indexes power intra-query parallel
-//!   aggregation (map per shard, merge partials);
+//! * [`shard`] — a subject-hash-partitioned copy of the store, one
+//!   [`TripleIndex`] per shard: what a shard process of the fabric
+//!   serves and what the in-process reference evaluator walks;
 //! * [`dict`] / [`segment`] / [`persist`] — the persistent
 //!   dictionary-encoded layout: the interner serialized as a term
 //!   dictionary, the three permutations as checksummed segment files,
@@ -66,7 +66,7 @@ pub use persist::{
 pub use schema::ClassHierarchy;
 pub use shard::{shard_of, Shard, ShardedTripleStore};
 pub use stats::DatasetStats;
-pub use store::TripleStore;
+pub use store::{TripleIndex, TripleStore};
 pub use wal::{
     TornReason, Wal, WalConfig, WalError, WalPos, WalRecord, WalRecovery, WalStats, WalSyncPolicy,
 };

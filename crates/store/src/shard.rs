@@ -1,8 +1,11 @@
-//! [`ShardedTripleStore`]: a partitioned view for intra-query parallelism.
+//! [`ShardedTripleStore`]: a physically partitioned copy of the store.
 //!
-//! Heavy charting aggregations (property expansions, subclass rollups) are
-//! embarrassingly data-parallel over triple partitions: each shard computes
-//! a partial aggregate and the partials merge by keyed summation. This
+//! The property-chart aggregation is embarrassingly data-parallel over
+//! triple partitions: each shard computes a partial aggregate and the
+//! partials merge by keyed summation. A shard process of the multi-process
+//! fabric serves one such partition, and the in-process reference
+//! evaluator the differential suites compare against walks all of them;
+//! in-process serving threads share the one [`TripleStore`] instead. This
 //! module provides the partitioning. Triples are assigned to shards by a
 //! hash of their **subject**, so:
 //!
@@ -10,16 +13,14 @@
 //!   property tests check);
 //! * all outgoing triples of a subject are colocated — a per-shard
 //!   `(s, p)` group count is already the global count for that subject;
-//! * per-shard SPO/POS/OSP permutations answer the same range queries as
-//!   the whole store, restricted to the shard's triples, so incoming
-//!   aggregations merge by summing per-shard `(o, p)` partials.
+//! * each shard is a [`TripleIndex`] of its own, answering the same range
+//!   queries as the whole store restricted to the shard's triples, so
+//!   incoming aggregations merge by summing per-shard `(o, p)` partials.
 //!
-//! The view is a snapshot: it records the epoch of the store it was built
-//! from and reports itself stale once the store mutates, at which point
-//! callers fall back to the unsharded path (mirroring how the precomputed
-//! decomposer aggregates degrade).
+//! The view is a snapshot: it records the epoch and lineage of the store
+//! it was built from and reports itself stale against any other.
 
-use crate::store::{range_by, TripleStore};
+use crate::store::{TripleIndex, TripleStore};
 use elinda_rdf::{TermId, Triple};
 
 /// One partition of the store: the shard's triples in the three sorted
@@ -27,55 +28,46 @@ use elinda_rdf::{TermId, Triple};
 /// restricted to this shard.
 #[derive(Debug, Clone, Default)]
 pub struct Shard {
-    /// Sorted by (s, p, o).
-    spo: Vec<Triple>,
-    /// Sorted by (p, o, s).
-    pos: Vec<Triple>,
-    /// Sorted by (o, s, p).
-    osp: Vec<Triple>,
+    index: TripleIndex,
 }
 
 impl Shard {
+    /// The shard's sorted permutations and their range lookups.
+    pub fn index(&self) -> &TripleIndex {
+        &self.index
+    }
+
     /// Number of triples in this shard.
     pub fn len(&self) -> usize {
-        self.spo.len()
+        self.index.len()
     }
 
     /// True if the shard holds no triples.
     pub fn is_empty(&self) -> bool {
-        self.spo.is_empty()
+        self.index.is_empty()
     }
 
     /// The shard's SPO-sorted slice.
     pub fn spo_slice(&self) -> &[Triple] {
-        &self.spo
+        self.index.spo_slice()
     }
 
     /// The contiguous SPO range for subject `s` (optionally narrowed by
     /// predicate `p`) within this shard.
     pub fn spo_range(&self, s: TermId, p: Option<TermId>) -> &[Triple] {
-        match p {
-            None => range_by(&self.spo, |t| t.s.cmp(&s)),
-            Some(p) => range_by(&self.spo, |t| t.s.cmp(&s).then(t.p.cmp(&p))),
-        }
+        self.index.spo_range(s, p)
     }
 
     /// The contiguous POS range for predicate `p` (optionally narrowed by
     /// object `o`) within this shard.
     pub fn pos_range(&self, p: TermId, o: Option<TermId>) -> &[Triple] {
-        match o {
-            None => range_by(&self.pos, |t| t.p.cmp(&p)),
-            Some(o) => range_by(&self.pos, |t| t.p.cmp(&p).then(t.o.cmp(&o))),
-        }
+        self.index.pos_range(p, o)
     }
 
     /// The contiguous OSP range for object `o` (optionally narrowed by
     /// subject `s`) within this shard.
     pub fn osp_range(&self, o: TermId, s: Option<TermId>) -> &[Triple] {
-        match s {
-            None => range_by(&self.osp, |t| t.o.cmp(&o)),
-            Some(s) => range_by(&self.osp, |t| t.o.cmp(&o).then(t.s.cmp(&s))),
-        }
+        self.index.osp_range(o, s)
     }
 }
 
@@ -115,18 +107,18 @@ impl ShardedTripleStore {
     /// subject hash, building per-shard SPO/POS/OSP permutations.
     pub fn build(store: &TripleStore, n: usize) -> Self {
         let n = n.max(1);
-        let mut shards = vec![Shard::default(); n];
         // The store's SPO slice is sorted; a stable partition of it keeps
         // every per-shard SPO slice sorted without re-sorting.
+        let mut parts: Vec<Vec<Triple>> = vec![Vec::new(); n];
         for &t in store.spo_slice() {
-            shards[shard_of(t.s, n)].spo.push(t);
+            parts[shard_of(t.s, n)].push(t);
         }
-        for shard in &mut shards {
-            shard.pos = shard.spo.clone();
-            shard.pos.sort_unstable_by_key(Triple::pos);
-            shard.osp = shard.spo.clone();
-            shard.osp.sort_unstable_by_key(Triple::osp);
-        }
+        let shards = parts
+            .into_iter()
+            .map(|spo| Shard {
+                index: TripleIndex::from_sorted_spo(spo),
+            })
+            .collect();
         ShardedTripleStore {
             shards,
             epoch: store.epoch(),
@@ -239,10 +231,10 @@ mod tests {
     fn shard_permutations_are_sorted() {
         let store = sample();
         let sharded = ShardedTripleStore::build(&store, 3);
-        for shard in sharded.shards() {
-            assert!(shard.spo.windows(2).all(|w| w[0].spo() <= w[1].spo()));
-            assert!(shard.pos.windows(2).all(|w| w[0].pos() <= w[1].pos()));
-            assert!(shard.osp.windows(2).all(|w| w[0].osp() <= w[1].osp()));
+        for ix in sharded.shards().map(Shard::index) {
+            assert!(ix.spo_slice().windows(2).all(|w| w[0].spo() <= w[1].spo()));
+            assert!(ix.pos_slice().windows(2).all(|w| w[0].pos() <= w[1].pos()));
+            assert!(ix.osp_slice().windows(2).all(|w| w[0].osp() <= w[1].osp()));
         }
     }
 

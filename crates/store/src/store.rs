@@ -20,16 +20,88 @@ fn fresh_store_id() -> u64 {
     NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// An in-memory indexed RDF triple store.
-#[derive(Debug, Clone)]
-pub struct TripleStore {
-    interner: Interner,
+/// One triple set in the three sorted permutations, with the range
+/// lookups every evaluator reads through. [`TripleStore`] embeds one for
+/// the whole graph and [`crate::Shard`] one per partition, so a scan
+/// written against `&TripleIndex` runs unchanged over either.
+#[derive(Debug, Clone, Default)]
+pub struct TripleIndex {
     /// Sorted by (s, p, o).
     spo: Vec<Triple>,
     /// Sorted by (p, o, s).
     pos: Vec<Triple>,
     /// Sorted by (o, s, p).
     osp: Vec<Triple>,
+}
+
+impl TripleIndex {
+    /// Build the POS and OSP permutations from an SPO-sorted triple set.
+    pub(crate) fn from_sorted_spo(spo: Vec<Triple>) -> Self {
+        let mut pos = spo.clone();
+        let mut osp = spo.clone();
+        pos.sort_unstable_by_key(Triple::pos);
+        osp.sort_unstable_by_key(Triple::osp);
+        TripleIndex { spo, pos, osp }
+    }
+
+    /// Number of triples.
+    pub fn len(&self) -> usize {
+        self.spo.len()
+    }
+
+    /// True if the index holds no triples.
+    pub fn is_empty(&self) -> bool {
+        self.spo.is_empty()
+    }
+
+    /// The SPO-sorted triple slice.
+    pub fn spo_slice(&self) -> &[Triple] {
+        &self.spo
+    }
+
+    /// The POS-sorted triple slice.
+    pub fn pos_slice(&self) -> &[Triple] {
+        &self.pos
+    }
+
+    /// The OSP-sorted triple slice.
+    pub fn osp_slice(&self) -> &[Triple] {
+        &self.osp
+    }
+
+    /// The contiguous SPO range for subject `s` (optionally narrowed by
+    /// predicate `p`).
+    pub fn spo_range(&self, s: TermId, p: Option<TermId>) -> &[Triple] {
+        match p {
+            None => range_by(&self.spo, |t| t.s.cmp(&s)),
+            Some(p) => range_by(&self.spo, |t| t.s.cmp(&s).then(t.p.cmp(&p))),
+        }
+    }
+
+    /// The contiguous POS range for predicate `p` (optionally narrowed by
+    /// object `o`).
+    pub fn pos_range(&self, p: TermId, o: Option<TermId>) -> &[Triple] {
+        match o {
+            None => range_by(&self.pos, |t| t.p.cmp(&p)),
+            Some(o) => range_by(&self.pos, |t| t.p.cmp(&p).then(t.o.cmp(&o))),
+        }
+    }
+
+    /// The contiguous OSP range for object `o` (optionally narrowed by
+    /// subject `s`).
+    pub fn osp_range(&self, o: TermId, s: Option<TermId>) -> &[Triple] {
+        match s {
+            None => range_by(&self.osp, |t| t.o.cmp(&o)),
+            Some(s) => range_by(&self.osp, |t| t.o.cmp(&o).then(t.s.cmp(&s))),
+        }
+    }
+}
+
+/// An in-memory indexed RDF triple store.
+#[derive(Debug, Clone)]
+pub struct TripleStore {
+    interner: Interner,
+    index: TripleIndex,
     /// Bumped on every successful mutation; drives HVS invalidation.
     epoch: u64,
     /// Lineage identity: snapshots built against a *different* store
@@ -43,9 +115,7 @@ impl TripleStore {
     pub fn new() -> Self {
         TripleStore {
             interner: Interner::new(),
-            spo: Vec::new(),
-            pos: Vec::new(),
-            osp: Vec::new(),
+            index: TripleIndex::default(),
             epoch: 0,
             store_id: fresh_store_id(),
         }
@@ -56,16 +126,10 @@ impl TripleStore {
     pub fn from_graph(graph: Graph) -> Self {
         let (interner, triples) = graph.into_parts();
         let mut spo = triples;
-        let mut pos = spo.clone();
-        let mut osp = spo.clone();
         spo.sort_unstable_by_key(Triple::spo);
-        pos.sort_unstable_by_key(Triple::pos);
-        osp.sort_unstable_by_key(Triple::osp);
         TripleStore {
             interner,
-            spo,
-            pos,
-            osp,
+            index: TripleIndex::from_sorted_spo(spo),
             epoch: 0,
             store_id: fresh_store_id(),
         }
@@ -96,9 +160,7 @@ impl TripleStore {
         debug_assert_eq!(spo.len(), osp.len());
         TripleStore {
             interner,
-            spo,
-            pos,
-            osp,
+            index: TripleIndex { spo, pos, osp },
             epoch,
             store_id: fresh_store_id(),
         }
@@ -136,14 +198,19 @@ impl TripleStore {
         self.interner.get_iri(iri)
     }
 
+    /// The three sorted permutations and their range lookups.
+    pub fn index(&self) -> &TripleIndex {
+        &self.index
+    }
+
     /// Number of triples.
     pub fn len(&self) -> usize {
-        self.spo.len()
+        self.index.len()
     }
 
     /// True if the store holds no triples.
     pub fn is_empty(&self) -> bool {
-        self.spo.is_empty()
+        self.index.is_empty()
     }
 
     /// The current epoch. Any mutation bumps it.
@@ -171,43 +238,46 @@ impl TripleStore {
     /// The SPO-sorted triple slice. The incremental evaluator treats this
     /// as "the first N triples, the next N triples, …" of the graph.
     pub fn spo_slice(&self) -> &[Triple] {
-        &self.spo
+        self.index.spo_slice()
     }
 
     /// The POS-sorted triple slice.
     pub fn pos_slice(&self) -> &[Triple] {
-        &self.pos
+        self.index.pos_slice()
     }
 
     /// The OSP-sorted triple slice.
     pub fn osp_slice(&self) -> &[Triple] {
-        &self.osp
+        self.index.osp_slice()
     }
 
     /// True if the triple is present.
     pub fn contains(&self, t: Triple) -> bool {
-        self.spo.binary_search_by_key(&t.spo(), Triple::spo).is_ok()
+        let spo = &self.index.spo;
+        spo.binary_search_by_key(&t.spo(), Triple::spo).is_ok()
     }
 
     /// Insert a triple of interned ids. Returns `true` (and bumps the
     /// epoch) if the triple was new. `O(n)`.
     pub fn insert(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
         let t = Triple::new(s, p, o);
-        let idx = match self.spo.binary_search_by_key(&t.spo(), Triple::spo) {
+        let idx = match self.index.spo.binary_search_by_key(&t.spo(), Triple::spo) {
             Ok(_) => return false,
             Err(idx) => idx,
         };
-        self.spo.insert(idx, t);
+        self.index.spo.insert(idx, t);
         let idx = self
+            .index
             .pos
             .binary_search_by_key(&t.pos(), Triple::pos)
             .expect_err("triple absent from spo must be absent from pos");
-        self.pos.insert(idx, t);
+        self.index.pos.insert(idx, t);
         let idx = self
+            .index
             .osp
             .binary_search_by_key(&t.osp(), Triple::osp)
             .expect_err("triple absent from spo must be absent from osp");
-        self.osp.insert(idx, t);
+        self.index.osp.insert(idx, t);
         self.epoch += 1;
         true
     }
@@ -223,21 +293,23 @@ impl TripleStore {
     /// Remove a triple. Returns `true` (and bumps the epoch) if it was
     /// present. `O(n)`.
     pub fn remove(&mut self, t: Triple) -> bool {
-        let idx = match self.spo.binary_search_by_key(&t.spo(), Triple::spo) {
+        let idx = match self.index.spo.binary_search_by_key(&t.spo(), Triple::spo) {
             Ok(idx) => idx,
             Err(_) => return false,
         };
-        self.spo.remove(idx);
+        self.index.spo.remove(idx);
         let idx = self
+            .index
             .pos
             .binary_search_by_key(&t.pos(), Triple::pos)
             .expect("triple present in spo must be present in pos");
-        self.pos.remove(idx);
+        self.index.pos.remove(idx);
         let idx = self
+            .index
             .osp
             .binary_search_by_key(&t.osp(), Triple::osp)
             .expect("triple present in spo must be present in osp");
-        self.osp.remove(idx);
+        self.index.osp.remove(idx);
         self.epoch += 1;
         true
     }
@@ -245,28 +317,19 @@ impl TripleStore {
     /// The contiguous SPO range for subject `s` (optionally narrowed by
     /// predicate `p`).
     pub fn spo_range(&self, s: TermId, p: Option<TermId>) -> &[Triple] {
-        match p {
-            None => range_by(&self.spo, |t| t.s.cmp(&s)),
-            Some(p) => range_by(&self.spo, |t| t.s.cmp(&s).then(t.p.cmp(&p))),
-        }
+        self.index.spo_range(s, p)
     }
 
     /// The contiguous POS range for predicate `p` (optionally narrowed by
     /// object `o`).
     pub fn pos_range(&self, p: TermId, o: Option<TermId>) -> &[Triple] {
-        match o {
-            None => range_by(&self.pos, |t| t.p.cmp(&p)),
-            Some(o) => range_by(&self.pos, |t| t.p.cmp(&p).then(t.o.cmp(&o))),
-        }
+        self.index.pos_range(p, o)
     }
 
     /// The contiguous OSP range for object `o` (optionally narrowed by
     /// subject `s`).
     pub fn osp_range(&self, o: TermId, s: Option<TermId>) -> &[Triple] {
-        match s {
-            None => range_by(&self.osp, |t| t.o.cmp(&o)),
-            Some(s) => range_by(&self.osp, |t| t.o.cmp(&o).then(t.s.cmp(&s))),
-        }
+        self.index.osp_range(o, s)
     }
 
     /// Objects `o` with `(s, p, o)` in the store, in sorted order (may
@@ -285,7 +348,7 @@ impl TripleStore {
     pub fn predicates(&self) -> Vec<TermId> {
         let mut out = Vec::new();
         let mut last = None;
-        for t in &self.pos {
+        for t in &self.index.pos {
             if last != Some(t.p) {
                 out.push(t.p);
                 last = Some(t.p);
@@ -298,7 +361,7 @@ impl TripleStore {
     pub fn subjects(&self) -> Vec<TermId> {
         let mut out = Vec::new();
         let mut last = None;
-        for t in &self.spo {
+        for t in &self.index.spo {
             if last != Some(t.s) {
                 out.push(t.s);
                 last = Some(t.s);
@@ -315,12 +378,8 @@ impl Default for TripleStore {
 }
 
 /// Binary-search the maximal contiguous run where `cmp` returns `Equal`,
-/// assuming `sorted` is ordered consistently with `cmp`. Shared with the
-/// sharded view, whose per-shard permutations obey the same orderings.
-pub(crate) fn range_by(
-    sorted: &[Triple],
-    cmp: impl Fn(&Triple) -> std::cmp::Ordering,
-) -> &[Triple] {
+/// assuming `sorted` is ordered consistently with `cmp`.
+fn range_by(sorted: &[Triple], cmp: impl Fn(&Triple) -> std::cmp::Ordering) -> &[Triple] {
     let start = sorted.partition_point(|t| cmp(t) == std::cmp::Ordering::Less);
     let end = start + sorted[start..].partition_point(|t| cmp(t) == std::cmp::Ordering::Equal);
     &sorted[start..end]

@@ -13,7 +13,7 @@
 use elinda::datagen::{generate_dbpedia, DbpediaConfig};
 use elinda::endpoint::decomposer::{property_expansion_sparql, ExpansionDirection};
 use elinda::endpoint::json::encode_solutions;
-use elinda::endpoint::parallel::try_map_shards;
+use elinda::endpoint::parallel::try_map_units;
 use elinda::endpoint::resilience::{BreakerConfig, CircuitBreaker, Deadline};
 use elinda::endpoint::{
     ElindaEndpoint, EndpointConfig, FaultPlan, Parallelism, QueryContext, QueryEngine,
@@ -21,7 +21,6 @@ use elinda::endpoint::{
     ServedBy,
 };
 use elinda::rdf::vocab;
-use elinda::store::{Shard, ShardedTripleStore, TripleStore};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -209,22 +208,20 @@ fn stalled_backend_is_bounded_by_the_deadline() {
 
 #[test]
 fn deadline_expiring_mid_parallel_evaluation_returns_promptly() {
-    // 8 shards of 30 ms work on 2 threads is 120 ms of wall clock; a
+    // 8 units of 30 ms work on 2 threads is 120 ms of wall clock; a
     // 40 ms deadline therefore always expires mid-fan-out. The workers
-    // must stop claiming shards and the call must return within
+    // must stop claiming units and the call must return within
     // deadline + 100 ms.
-    let store = TripleStore::from_turtle("@prefix ex: <http://e/> . ex:a a ex:C .").unwrap();
-    let sharded = ShardedTripleStore::build(&store, 8);
     let budget = Duration::from_millis(40);
     let deadline = Deadline::within(budget);
     let started = Instant::now();
-    let result = try_map_shards(
-        &sharded,
+    let result = try_map_units(
+        8,
         2,
         deadline,
         &elinda::endpoint::TraceCtx::disabled(),
         elinda::endpoint::trace::ROOT_SPAN,
-        |i: usize, _shard: &Shard| {
+        |i: usize| {
             std::thread::sleep(Duration::from_millis(30));
             i
         },

@@ -1,9 +1,10 @@
-//! Differential suite: sharded parallel expansion evaluation is
+//! Differential suite: parallel property-expansion evaluation is
 //! query-equivalent to sequential evaluation — byte-identical on the
 //! SPARQL-JSON wire format — for seeded datagen datasets at three
-//! scales, every expansion variant (subclass / property / object ×
-//! incoming / outgoing, plus threshold filters), across shard counts
-//! {1, 2, 7, 16} and several worker budgets.
+//! scales, both directions, across unit counts {1, 2, 7, 16} and several
+//! worker budgets: the threaded driver the router runs (member chunks
+//! over the shared store) and the reference over physical shards, each
+//! against the sequential evaluator.
 
 use elinda::datagen::{generate_dbpedia, DbpediaConfig};
 use elinda::endpoint::decomposer::{
@@ -11,10 +12,10 @@ use elinda::endpoint::decomposer::{
 };
 use elinda::endpoint::json::encode_solutions;
 use elinda::endpoint::parallel::{
-    execute_decomposed_sharded, filter_by_coverage, object_rollup, object_rollup_sharded,
-    subclass_rollup, subclass_rollup_sharded, Parallelism,
+    execute_decomposed_sharded, try_execute_decomposed_chunked, Parallelism,
 };
-use elinda::endpoint::{ElindaEndpoint, EndpointConfig, QueryEngine};
+use elinda::endpoint::trace::ROOT_SPAN;
+use elinda::endpoint::{Deadline, ElindaEndpoint, EndpointConfig, QueryEngine, TraceCtx};
 use elinda::rdf::TermId;
 use elinda::sparql::parse_query;
 use elinda::store::{ClassHierarchy, ShardedTripleStore, TripleStore};
@@ -64,136 +65,35 @@ fn property_expansions_are_byte_identical_across_shard_counts() {
                 let rec = recognize_property_expansion(&parse_query(&text).unwrap()).unwrap();
                 let sequential = execute_decomposed(&store, &hierarchy, &rec);
                 let expected = encode_solutions(&sequential, &store);
+                let members = hierarchy.instances(&store, class);
                 for shards in SHARD_COUNTS {
                     let sharded = ShardedTripleStore::build(&store, shards);
                     for threads in THREAD_BUDGETS {
-                        let (parallel, report) = execute_decomposed_sharded(
+                        let par = Parallelism::fixed(threads, shards);
+                        let reference =
+                            execute_decomposed_sharded(&store, &sharded, &hierarchy, &rec, &par);
+                        let chunked = try_execute_decomposed_chunked(
                             &store,
-                            &sharded,
-                            &hierarchy,
+                            &members,
                             &rec,
-                            &Parallelism::fixed(threads, shards),
-                        );
-                        assert_eq!(
-                            encode_solutions(&parallel, &store),
-                            expected,
-                            "store of {} triples, {dir:?}, {shards} shards, {threads} threads",
-                            store.len()
-                        );
-                        assert_eq!(report.shard_busy.len(), shards);
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn subclass_rollups_are_byte_identical_across_shard_counts() {
-    for store in stores() {
-        let hierarchy = ClassHierarchy::build(&store);
-        for class in sample_classes(&store, &hierarchy) {
-            let expected = encode_solutions(&subclass_rollup(&store, &hierarchy, class), &store);
-            for shards in SHARD_COUNTS {
-                let sharded = ShardedTripleStore::build(&store, shards);
-                for threads in THREAD_BUDGETS {
-                    let (parallel, _) = subclass_rollup_sharded(
-                        &store,
-                        &sharded,
-                        &hierarchy,
-                        class,
-                        &Parallelism::fixed(threads, shards),
-                    );
-                    assert_eq!(
-                        encode_solutions(&parallel, &store),
-                        expected,
-                        "store of {} triples, {shards} shards, {threads} threads",
-                        store.len()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn object_rollups_are_byte_identical_across_shard_counts() {
-    for store in stores() {
-        let hierarchy = ClassHierarchy::build(&store);
-        for class in sample_classes(&store, &hierarchy) {
-            // Expand the class's properties first and roll up the objects
-            // of each of its top properties — the drill-down sequence the
-            // eLinda frontend performs.
-            let text =
-                property_expansion_sparql(&class_iri(&store, class), ExpansionDirection::Outgoing);
-            let rec = recognize_property_expansion(&parse_query(&text).unwrap()).unwrap();
-            let expansion = execute_decomposed(&store, &hierarchy, &rec);
-            let props: Vec<TermId> = expansion
-                .rows
-                .iter()
-                .take(3)
-                .filter_map(|row| match row.first() {
-                    Some(Some(elinda::sparql::Value::Term(p))) => Some(*p),
-                    _ => None,
-                })
-                .collect();
-            for prop in props {
-                for dir in DIRECTIONS {
-                    let expected = encode_solutions(
-                        &object_rollup(&store, &hierarchy, class, prop, dir),
-                        &store,
-                    );
-                    for shards in SHARD_COUNTS {
-                        let sharded = ShardedTripleStore::build(&store, shards);
-                        let (parallel, _) = object_rollup_sharded(
-                            &store,
-                            &sharded,
-                            &hierarchy,
-                            class,
-                            prop,
-                            dir,
-                            &Parallelism::fixed(2, shards),
-                        );
-                        assert_eq!(
-                            encode_solutions(&parallel, &store),
-                            expected,
-                            "store of {} triples, {dir:?}, {shards} shards",
-                            store.len()
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn threshold_filters_preserve_byte_identity() {
-    for store in stores() {
-        let hierarchy = ClassHierarchy::build(&store);
-        for class in sample_classes(&store, &hierarchy) {
-            let total = hierarchy.instance_count(&store, class);
-            for dir in DIRECTIONS {
-                let text = property_expansion_sparql(&class_iri(&store, class), dir);
-                let rec = recognize_property_expansion(&parse_query(&text).unwrap()).unwrap();
-                let sequential = execute_decomposed(&store, &hierarchy, &rec);
-                for shards in SHARD_COUNTS {
-                    let sharded = ShardedTripleStore::build(&store, shards);
-                    let (parallel, _) = execute_decomposed_sharded(
-                        &store,
-                        &sharded,
-                        &hierarchy,
-                        &rec,
-                        &Parallelism::fixed(2, shards),
-                    );
-                    for threshold in [0.0, 0.25, 0.75, 1.0] {
-                        let a = filter_by_coverage(&sequential, total, threshold);
-                        let b = filter_by_coverage(&parallel, total, threshold);
-                        assert_eq!(
-                            encode_solutions(&a, &store),
-                            encode_solutions(&b, &store),
-                            "{dir:?}, {shards} shards, threshold {threshold}"
-                        );
+                            &par,
+                            Deadline::unbounded(),
+                            &TraceCtx::disabled(),
+                            ROOT_SPAN,
+                        )
+                        .unwrap();
+                        for (driver, (parallel, report)) in
+                            [("reference", reference), ("chunked", chunked)]
+                        {
+                            assert_eq!(
+                                encode_solutions(&parallel, &store),
+                                expected,
+                                "{driver}: store of {} triples, {dir:?}, {shards} shards, \
+                                 {threads} threads",
+                                store.len()
+                            );
+                            assert_eq!(report.shard_busy.len(), shards);
+                        }
                     }
                 }
             }

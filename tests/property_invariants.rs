@@ -344,12 +344,16 @@ proptest! {
             execute_decomposed, property_expansion_sparql, recognize_property_expansion,
             ExpansionDirection,
         };
-        use elinda::endpoint::parallel::{execute_decomposed_sharded, Parallelism};
+        use elinda::endpoint::parallel::{
+            execute_decomposed_sharded, try_execute_decomposed_chunked, Parallelism,
+        };
+        use elinda::endpoint::{trace::ROOT_SPAN, Deadline, TraceCtx};
         use elinda::store::ShardedTripleStore;
 
         let store = TripleStore::from_graph(g);
         let h = ClassHierarchy::build(&store);
         let sharded = ShardedTripleStore::build(&store, shards);
+        let par = Parallelism::fixed(2, shards);
         for &class in h.classes().iter().take(3) {
             let Some(class_iri) = store.resolve(class).as_iri().map(str::to_string) else {
                 continue;
@@ -359,15 +363,22 @@ proptest! {
                     .unwrap();
                 let rec = recognize_property_expansion(&q).unwrap();
                 let whole = execute_decomposed(&store, &h, &rec);
-                let (merged, _) = execute_decomposed_sharded(
-                    &store,
-                    &sharded,
-                    &h,
-                    &rec,
-                    &Parallelism::fixed(2, shards),
-                );
+                // The reference over physical shards, and the threaded
+                // driver over member chunks of the shared store.
+                let (merged, _) = execute_decomposed_sharded(&store, &sharded, &h, &rec, &par);
                 prop_assert_eq!(&merged.vars, &whole.vars);
                 prop_assert_eq!(&merged.rows, &whole.rows, "{:?} {} shards", dir, shards);
+                let (chunked, _) = try_execute_decomposed_chunked(
+                    &store,
+                    &h.instances(&store, class),
+                    &rec,
+                    &par,
+                    Deadline::unbounded(),
+                    &TraceCtx::disabled(),
+                    ROOT_SPAN,
+                )
+                .unwrap();
+                prop_assert_eq!(&chunked.rows, &whole.rows, "{:?} {} chunks", dir, shards);
             }
         }
     }

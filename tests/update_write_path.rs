@@ -242,10 +242,14 @@ fn soak_concurrent_readers_writer_and_compactions() {
         .collect();
 
     let stop = Arc::new(AtomicBool::new(false));
+    // Readers and writer leave the gate together: on a busy box the
+    // writer could otherwise finish before any reader was scheduled.
+    let gate = Arc::new(std::sync::Barrier::new(5));
     let readers: Vec<_> = (0..4)
         .map(|r| {
             let endpoint = Arc::clone(&endpoint);
             let stop = Arc::clone(&stop);
+            let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
                 let queries = [
                     property_expansion_sparql("http://e/C0", ExpansionDirection::Outgoing),
@@ -254,7 +258,9 @@ fn soak_concurrent_readers_writer_and_compactions() {
                 ];
                 let mut last_epoch = 0u64;
                 let mut served = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                gate.wait();
+                // At least one pass each, however the race to start went.
+                loop {
                     for q in &queries {
                         let outcome = endpoint.execute(q).expect("read serves during writes");
                         assert!(
@@ -265,6 +271,9 @@ fn soak_concurrent_readers_writer_and_compactions() {
                         );
                         last_epoch = outcome.data_epoch;
                         served += 1;
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break;
                     }
                 }
                 served
@@ -277,6 +286,7 @@ fn soak_concurrent_readers_writer_and_compactions() {
         let novelty = Arc::clone(&novelty);
         let updates = updates.clone();
         std::thread::spawn(move || {
+            gate.wait();
             for (i, update) in updates.iter().enumerate() {
                 novelty.apply(update);
                 if i % 10 == 9 {
