@@ -315,14 +315,15 @@ impl ResultCache {
         inner.frontier_insertions += 1;
     }
 
-    /// Looks up a current-epoch frontier for `class_iri`, bumping its LRU
-    /// position and counting hit/miss.
-    pub fn frontier(&self, class_iri: &str) -> Option<Arc<Vec<TermId>>> {
-        let current = self.epoch.load(Ordering::Acquire);
+    /// Looks up the frontier of `class_iri` recorded at `epoch` (the
+    /// caller's snapshot), bumping its LRU position and counting
+    /// hit/miss. A reader whose snapshot an update has already
+    /// overtaken misses, instead of taking members of a newer one.
+    pub fn frontier(&self, class_iri: &str, epoch: u64) -> Option<Arc<Vec<TermId>>> {
         let tick = self.next_tick();
         let mut inner = self.shard_for(class_iri).lock();
         match inner.frontiers.get_mut(class_iri) {
-            Some(entry) if entry.epoch == current => {
+            Some(entry) if entry.epoch == epoch => {
                 entry.last_used = tick;
                 let out = Arc::clone(&entry.members);
                 inner.frontier_hits += 1;
@@ -336,11 +337,10 @@ impl ResultCache {
     }
 
     /// Like [`ResultCache::frontier`] but without counters or LRU effects.
-    pub fn peek_frontier(&self, class_iri: &str) -> Option<Arc<Vec<TermId>>> {
-        let current = self.epoch.load(Ordering::Acquire);
+    pub fn peek_frontier(&self, class_iri: &str, epoch: u64) -> Option<Arc<Vec<TermId>>> {
         let inner = self.shard_for(class_iri).lock();
         match inner.frontiers.get(class_iri) {
-            Some(entry) if entry.epoch == current => Some(Arc::clone(&entry.members)),
+            Some(entry) if entry.epoch == epoch => Some(Arc::clone(&entry.members)),
             _ => None,
         }
     }
@@ -467,7 +467,9 @@ fn solutions_cost(s: &Solutions) -> usize {
 /// execution. Three rewrites, each semantics-preserving:
 ///
 /// 1. whitespace runs outside quoted strings and IRI refs collapse to a
-///    single space (leading/trailing trimmed);
+///    single space (leading/trailing trimmed); a `#` comment there runs
+///    to the end of its line and counts as whitespace (SPARQL 1.1
+///    §19.4), so it cannot swallow the clauses after it;
 /// 2. percent-escapes inside `<...>` IRI refs are normalized: unreserved
 ///    ASCII (`A-Z a-z 0-9 - . _ ~`) and valid UTF-8 multibyte sequences are
 ///    decoded, remaining escapes get uppercase hex;
@@ -503,9 +505,9 @@ fn iri_end(bytes: &[u8], at: usize) -> Option<usize> {
     None
 }
 
-/// Pass 1+2: whitespace collapse outside strings/IRIs and percent-escape
-/// normalization inside IRI refs. Returns `None` on an unterminated quoted
-/// string (caller falls back to the raw text).
+/// Pass 1+2: whitespace (and comment) collapse outside strings/IRIs and
+/// percent-escape normalization inside IRI refs. Returns `None` on an
+/// unterminated quoted string (caller falls back to the raw text).
 fn collapse_whitespace(query: &str) -> Option<String> {
     let bytes = query.as_bytes();
     let mut out = String::with_capacity(query.len());
@@ -524,6 +526,13 @@ fn collapse_whitespace(query: &str) -> Option<String> {
         if b.is_ascii_whitespace() {
             pending_space = true;
             i += 1;
+            continue;
+        }
+        if b == b'#' {
+            pending_space = true;
+            while i < bytes.len() && !matches!(bytes[i], b'\n' | b'\r') {
+                i += 1;
+            }
             continue;
         }
         match b {
@@ -846,6 +855,16 @@ mod tests {
     }
 
     #[test]
+    fn comments_are_whitespace_outside_strings_and_iris() {
+        assert_eq!(
+            normalize_query_text("SELECT ?s # a\r\nWHERE { ?s ?p ?o } # end"),
+            "SELECT ?s WHERE { ?s ?p ?o }"
+        );
+        let q = "SELECT ?s WHERE { ?s a <http://e/#C> ; ?p \"# kept\" }";
+        assert_eq!(normalize_query_text(q), q);
+    }
+
+    #[test]
     fn percent_unreserved_decodes_and_hex_uppercases() {
         let q = "SELECT ?s WHERE { ?s a <http://e/%41gent%2fx> }";
         assert_eq!(
@@ -959,15 +978,21 @@ mod tests {
         let cache = ResultCache::new(CacheConfig::default());
         let members = Arc::new(vec![tid(3), tid(9)]);
         cache.record_frontier("http://e/C", Arc::clone(&members), 0);
-        assert_eq!(cache.frontier("http://e/C").unwrap(), members);
+        assert_eq!(cache.frontier("http://e/C", 0).unwrap(), members);
         cache.sync_epoch(1);
-        assert!(cache.frontier("http://e/C").is_none());
+        assert!(cache.frontier("http://e/C", 1).is_none());
         // Recording with a mismatched epoch is a no-op.
-        cache.record_frontier("http://e/C", members, 0);
-        assert!(cache.peek_frontier("http://e/C").is_none());
+        cache.record_frontier("http://e/C", Arc::clone(&members), 0);
+        assert!(cache.peek_frontier("http://e/C", 1).is_none());
+        // A reader still on epoch 1 never takes a frontier of epoch 2.
+        cache.sync_epoch(2);
+        cache.record_frontier("http://e/C", members, 2);
+        assert!(cache.peek_frontier("http://e/C", 1).is_none());
+        assert!(cache.frontier("http://e/C", 1).is_none());
+        assert!(cache.peek_frontier("http://e/C", 2).is_some());
         let stats = cache.stats();
         assert_eq!(stats.frontier_hits, 1);
-        assert_eq!(stats.frontier_misses, 1);
+        assert_eq!(stats.frontier_misses, 2);
     }
 
     #[test]

@@ -1,32 +1,31 @@
 //! [`NoveltyStore`]: the write path's staging overlay.
 //!
 //! eLinda's read stack is built on immutable snapshots: the store's
-//! sorted permutations, the sharded view, the precomputed aggregates,
-//! and every cache are all epoch-tagged artifacts of one frozen
-//! [`TripleStore`]. The novelty overlay makes that stack writable
-//! without giving up snapshot reads (the same shape as Fluree's
-//! novelty/commit split): updates land in small `added`/`removed` delta
-//! sets on top of an immutable **base**, and readers always consume a
-//! fully-indexed merged **view** — an `Arc<TripleStore>` republished
-//! copy-on-write per update batch, so an in-flight query keeps the
-//! snapshot it started with while the next query sees the writes.
+//! sorted permutations and its class hierarchy belong to one frozen
+//! [`TripleStore`], and every cache entry is tagged with its epoch. The
+//! novelty overlay makes that stack writable without giving up snapshot
+//! reads (the same shape as Fluree's novelty/commit split): updates land
+//! in small `added`/`removed` delta sets on top of an immutable
+//! **base**, and readers always consume a fully-indexed merged **view**
+//! — an `Arc<TripleStore>` republished copy-on-write per update batch,
+//! so an in-flight query keeps the snapshot it started with while the
+//! next query sees the writes.
 //!
 //! A background compactor (driven by the server: a periodic tick plus a
 //! size-threshold signal from [`NoveltyStore::apply`]) **folds** the
 //! novelty into a new base: the merged view is promoted, the delta sets
 //! drain to zero, and the epoch is bumped one extra time to mark the
 //! compaction point — demoting every fresh cache entry to the stale
-//! rungs of the resilience ladder, exactly the machinery PR-4/PR-5
-//! built. The router then rebuilds its derived indexes
-//! ([`crate::router::ElindaEndpoint::refresh`]) so the fast paths
-//! (precomputed, sharded) re-establish on the new base.
+//! rungs of the resilience ladder.
 //!
-//! Between a write and the next compaction, recognized chart queries
-//! still answer **correctly** — the view is a real indexed store — but
-//! on the slower rungs (sequential decomposed or direct), because the
-//! epoch-staleness checks refuse the pre-write index snapshots. That
-//! transient degradation is intentional and observable
-//! (`elinda_novelty_*` / `elinda_compaction_*` metrics).
+//! Nothing else needs rebuilding, before or after a fold: every view
+//! (and every folded base) is a fully indexed store whose class
+//! hierarchy ([`TripleStore::hierarchy`]) is built on first use and
+//! dropped by its next mutation. A recognized chart read between a write
+//! and the next compaction therefore runs on the same chart kernel as
+//! any other read, over the hierarchy of exactly the view it captured.
+//! Overlay activity is observable through the `elinda_novelty_*` /
+//! `elinda_compaction_*` metrics.
 
 use elinda_sparql::{Update, UpdateOp};
 use elinda_store::TripleStore;
@@ -303,9 +302,9 @@ impl NoveltyStore {
 
     /// Fold the staged novelty into a new base: promote the merged view,
     /// clear the delta sets, and bump the epoch to mark the compaction
-    /// point. Returns `None` when nothing is staged. The caller is
-    /// responsible for rebuilding derived indexes afterwards
-    /// ([`crate::router::ElindaEndpoint::refresh`]).
+    /// point (which also drops the view's memoized class hierarchy; the
+    /// first chart on the new base rebuilds it). Returns `None` when
+    /// nothing is staged.
     pub fn compact(&self) -> Option<CompactionReport> {
         self.compact_with(|| {})
     }

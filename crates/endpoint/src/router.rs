@@ -30,7 +30,7 @@ use elinda_rdf::TermId;
 use elinda_sparql::exec::QueryError;
 use elinda_sparql::{parse_query, Executor};
 use elinda_store::{ClassHierarchy, TripleStore};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Instant;
@@ -117,10 +117,6 @@ enum EvalPlan {
         members: Arc<Vec<TermId>>,
         seeded: bool,
     },
-    /// A recognized chart evaluated on the plain executor (the
-    /// uncompacted-writes window, when no index generation matches the
-    /// view), then canonicalized — byte-identical to the chart tiers.
-    DirectChart,
     /// The plain SPARQL executor.
     Direct,
 }
@@ -131,14 +127,8 @@ impl EvalPlan {
         match self {
             EvalPlan::Chart { seeded: true, .. } => "incremental",
             EvalPlan::Chart { seeded: false, .. } => "decomposed",
-            EvalPlan::DirectChart | EvalPlan::Direct => "direct",
+            EvalPlan::Direct => "direct",
         }
-    }
-
-    /// True when this plan answers a recognized chart (whose finished
-    /// result may enter the result cache).
-    fn is_chart(&self) -> bool {
-        !matches!(self, EvalPlan::Direct)
     }
 }
 
@@ -199,13 +189,9 @@ pub struct ElindaEndpoint<S: Borrow<TripleStore>> {
     store: S,
     /// The write-path overlay, when this endpoint serves a writable
     /// store. Reads then consume the overlay's merged view snapshot
-    /// instead of `store` directly.
+    /// instead of `store` directly; each view carries its own class
+    /// hierarchy ([`TripleStore::hierarchy`]).
     novelty: Option<Arc<NoveltyStore>>,
-    /// The derived read index (the class hierarchy), rebuilt by
-    /// [`Self::refresh`] after a compaction. Readers clone the `Arc` out
-    /// under a brief read lock, so a query consults one consistent index
-    /// generation end to end.
-    indexes: RwLock<Indexes>,
     hvs: HeavyQueryStore,
     /// Cumulative per-shard timings and speedup, fed by the parallel path.
     parallel_stats: Mutex<ParallelStats>,
@@ -217,34 +203,6 @@ pub struct ElindaEndpoint<S: Borrow<TripleStore>> {
     config: EndpointConfig,
 }
 
-/// One generation of the derived read index, tagged with the store
-/// snapshot it was built from. Cloning is cheap (an `Arc`).
-#[derive(Clone)]
-struct Indexes {
-    /// Epoch of the view this generation was built from.
-    epoch: u64,
-    /// Lineage id of that view (see [`TripleStore::store_id`]).
-    store_id: u64,
-    hierarchy: Arc<ClassHierarchy>,
-}
-
-impl Indexes {
-    fn build(store: &TripleStore) -> Self {
-        Indexes {
-            epoch: store.epoch(),
-            store_id: store.store_id(),
-            hierarchy: Arc::new(ClassHierarchy::build(store)),
-        }
-    }
-
-    /// True when this generation was built from exactly this view
-    /// snapshot — the precondition for consulting the hierarchy, which
-    /// carries no staleness check of its own.
-    fn is_fresh(&self, store: &TripleStore) -> bool {
-        self.store_id == store.store_id() && self.epoch == store.epoch()
-    }
-}
-
 impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
     /// Build the endpoint (computes the class hierarchy "mirror" once, as
     /// the paper's endpoint preprocesses its knowledge-base mirrors).
@@ -254,11 +212,10 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
 
     /// Build a **writable** endpoint on top of a novelty overlay: every
     /// read consumes the overlay's merged view, `data_epoch` follows the
-    /// view epoch, and [`Self::compact`] folds staged writes and
-    /// refreshes the derived indexes. The overlay's base should be the
-    /// same store handed in as `store` (the overlay view is what is
-    /// actually read; `store` is kept for ownership parity with the
-    /// read-only constructor).
+    /// view epoch, and [`Self::compact`] folds staged writes into a new
+    /// base. The overlay's base should be the same store handed in as
+    /// `store` (the overlay view is what is actually read; `store` is
+    /// kept for ownership parity with the read-only constructor).
     pub fn with_novelty(store: S, config: EndpointConfig, novelty: Arc<NoveltyStore>) -> Self {
         Self::build(store, Some(novelty), config)
     }
@@ -269,7 +226,10 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
             Some(v) => v,
             None => store.borrow(),
         };
-        let indexes = Indexes::build(s);
+        // Warm the boot snapshot's hierarchy, as the paper's endpoint
+        // preprocesses its knowledge-base mirrors: the first chart then
+        // pays nothing for it.
+        s.hierarchy();
         let hvs = HeavyQueryStore::new(config.hvs.clone(), s.epoch());
         let cache = config.enable_cache.then(|| {
             let cache = ResultCache::new(config.cache);
@@ -280,7 +240,6 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
         ElindaEndpoint {
             store,
             novelty,
-            indexes: RwLock::new(indexes),
             hvs,
             parallel_stats: Mutex::new(ParallelStats::default()),
             cache,
@@ -299,27 +258,16 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
         self.novelty.as_ref()
     }
 
-    /// The class hierarchy mirror (the current index generation's).
+    /// The class hierarchy mirror of the current view.
     pub fn hierarchy(&self) -> Arc<ClassHierarchy> {
-        Arc::clone(&self.indexes.read().hierarchy)
+        match &self.novelty {
+            Some(n) => n.view().hierarchy(),
+            None => self.store.borrow().hierarchy(),
+        }
     }
 
-    /// Rebuild the class hierarchy from the current view — the
-    /// post-compaction step that re-establishes the chart paths on the
-    /// new base.
-    pub fn refresh(&self) {
-        let view = self.novelty.as_ref().map(|n| n.view());
-        let s: &TripleStore = match &view {
-            Some(v) => v,
-            None => self.store.borrow(),
-        };
-        let fresh = Indexes::build(s);
-        *self.indexes.write() = fresh;
-    }
-
-    /// Fold staged novelty into a new base and refresh the derived
-    /// indexes. Returns `None` on a read-only endpoint or when nothing
-    /// is staged.
+    /// Fold staged novelty into a new base. Returns `None` on a
+    /// read-only endpoint or when nothing is staged.
     pub fn compact(&self) -> Option<CompactionReport> {
         self.compact_with(|| {})
     }
@@ -329,9 +277,7 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
     /// overlay write lock at the exact fold point (the WAL layer seals
     /// its active segment there).
     pub fn compact_with(&self, post_fold: impl FnOnce()) -> Option<CompactionReport> {
-        let report = self.novelty.as_ref()?.compact_with(post_fold)?;
-        self.refresh();
-        Some(report)
+        self.novelty.as_ref()?.compact_with(post_fold)
     }
 
     /// HVS counters (hits, misses, invalidations, …).
@@ -395,9 +341,9 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
     ) -> Option<Arc<Vec<TermId>>> {
         let class_iri = rec.class.as_iri()?;
         let direct = if live {
-            cache.frontier(class_iri)
+            cache.frontier(class_iri, epoch)
         } else {
-            cache.peek_frontier(class_iri)
+            cache.peek_frontier(class_iri, epoch)
         };
         if let Some(members) = direct {
             return Some(members);
@@ -407,7 +353,7 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
             let Some(parent_iri) = store.resolve(parent).as_iri() else {
                 continue;
             };
-            let Some(parent_members) = cache.peek_frontier(parent_iri) else {
+            let Some(parent_members) = cache.peek_frontier(parent_iri, epoch) else {
                 continue;
             };
             let derived = seed_child_frontier(store, hierarchy, &parent_members, class_id);
@@ -424,31 +370,23 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
 
     /// The route decision, shared by the live path and `/explain`: which
     /// plan evaluates a parsed query whose chart shape (if any) is
-    /// `recognized`, against view `store` and index generation `ix`. With
-    /// `live` off nothing is counted or recorded.
+    /// `recognized`, against view `store` and that view's own class
+    /// hierarchy. With `live` off nothing is counted or recorded.
     fn route(
         &self,
         store: &TripleStore,
-        ix: &Indexes,
         recognized: Option<PropertyExpansionQuery>,
         live: bool,
     ) -> EvalPlan {
         let Some(rec) = recognized.filter(|_| self.config.enable_decomposer) else {
             return EvalPlan::Direct;
         };
-        // Uncompacted writes: the index generation (and its hierarchy,
-        // which member derivation consults) predates the view, so a
-        // recognized chart answers on the direct executor —
-        // byte-identical by the canonical finisher, just slower until
-        // compaction restores the chart path.
-        if !ix.is_fresh(store) {
-            return EvalPlan::DirectChart;
-        }
+        let hierarchy = store.hierarchy();
         let epoch = store.epoch();
         let frontier = self
             .cache
             .as_ref()
-            .and_then(|cache| self.find_frontier(store, &ix.hierarchy, cache, &rec, epoch, live));
+            .and_then(|cache| self.find_frontier(store, &hierarchy, cache, &rec, epoch, live));
         if let Some(members) = frontier {
             return EvalPlan::Chart {
                 rec,
@@ -458,7 +396,7 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
         }
         // Cold: derive the class closure once, and record it so a later
         // expansion along the same exploration path can seed from it.
-        let members = Arc::new(class_members(store, &ix.hierarchy, &rec));
+        let members = Arc::new(class_members(store, &hierarchy, &rec));
         if live && !members.is_empty() {
             if let (Some(cache), Some(iri)) = (&self.cache, rec.class.as_iri()) {
                 cache.record_frontier(iri, Arc::clone(&members), epoch);
@@ -497,7 +435,6 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
         if let Some(cache) = &self.cache {
             cache.sync_epoch(epoch);
         }
-        let ix = self.indexes.read().clone();
         let normalized = normalize_query_text(query);
         let query = normalized.as_str();
         let hvs_hit = self.config.enable_hvs && self.hvs.peek(query);
@@ -518,7 +455,7 @@ impl<S: Borrow<TripleStore>> ElindaEndpoint<S> {
         } else if cache_hit {
             ("cache-hit", 1)
         } else {
-            let plan = self.route(store, &ix, recognized.flatten(), false);
+            let plan = self.route(store, recognized.flatten(), false);
             (plan.path(), self.fanout(&plan))
         };
         ExplainReport {
@@ -559,12 +496,6 @@ impl<S: Borrow<TripleStore> + Send + Sync> QueryEngine for ElindaEndpoint<S> {
         if let Some(cache) = &self.cache {
             cache.sync_epoch(epoch);
         }
-        // One consistent index generation for the whole query: its
-        // freshness is judged against the captured view, never against a
-        // live (concurrently compacting) field — a hierarchy built before
-        // a compaction can therefore never be consulted after the epoch
-        // bump.
-        let ix = self.indexes.read().clone();
         // Canonicalize once at ingress; everything downstream — parse,
         // HVS keys, cache keys — sees the normalized text, so the cache
         // key is the executed query and can never alias another one.
@@ -618,7 +549,7 @@ impl<S: Borrow<TripleStore> + Send + Sync> QueryEngine for ElindaEndpoint<S> {
         // before evaluating keeps the decision observable (the `route`
         // span and `/explain`) and the stage spans disjoint.
         let mut route_span = trace.span("route");
-        let plan = self.route(store, &ix, recognize_property_expansion(&parsed), true);
+        let plan = self.route(store, recognize_property_expansion(&parsed), true);
         let shards_used = self.fanout(&plan);
         route_span.tag("path", plan.path());
         drop(route_span);
@@ -652,15 +583,6 @@ impl<S: Borrow<TripleStore> + Send + Sync> QueryEngine for ElindaEndpoint<S> {
                 };
                 (solutions, served_by)
             }
-            EvalPlan::DirectChart => {
-                let mut solutions = Executor::new(store)
-                    .execute(&parsed)
-                    .map_err(QueryError::Exec)?;
-                // Same finisher as every chart tier: the pre-compaction
-                // answer is byte-identical to the post-compaction one.
-                crate::parallel::canonicalize_rows(&mut solutions, store);
-                (solutions, ServedBy::Direct)
-            }
             EvalPlan::Direct => (
                 Executor::new(store)
                     .execute(&parsed)
@@ -675,7 +597,7 @@ impl<S: Borrow<TripleStore> + Send + Sync> QueryEngine for ElindaEndpoint<S> {
         // Only finished chart results enter the result cache: the chart
         // tiers share one canonical finisher, so a later cache hit is
         // byte-identical to re-evaluation on any tier.
-        if plan.is_chart() {
+        if matches!(plan, EvalPlan::Chart { .. }) {
             if let Some(cache) = &self.cache {
                 cache.record(query, &solutions, epoch);
             }
@@ -868,7 +790,8 @@ mod tests {
             crate::json::encode_solutions(&before.solutions, &ep.novelty().unwrap().view());
 
         // A new Thing with an outgoing edge: visible on the very next
-        // read, before any compaction, on the direct (stale-window) rung.
+        // read, before any compaction, on the chart kernel over the new
+        // view's own hierarchy.
         novelty.apply(
             &elinda_sparql::parse_update(
                 "PREFIX ex: <http://e/> PREFIX owl: <http://www.w3.org/2002/07/owl#> \
@@ -877,13 +800,13 @@ mod tests {
             .unwrap(),
         );
         let during = ep.execute(&q).unwrap();
-        assert_eq!(during.served_by, ServedBy::Direct);
+        assert_eq!(during.served_by, ServedBy::Decomposer);
         assert!(during.data_epoch > before.data_epoch);
         let during_rows = crate::json::encode_solutions(&during.solutions, &novelty.view());
         assert_ne!(before_rows, during_rows, "write must be visible");
 
-        // Compaction folds, bumps the epoch once more, and restores the
-        // fast tiers — with byte-identical results.
+        // Compaction folds and bumps the epoch once more — with
+        // byte-identical results.
         let report = ep.compact().expect("dirty overlay compacts");
         assert_eq!(report.folded, 2);
         assert_eq!(novelty.novelty_len(), 0);
@@ -917,7 +840,10 @@ mod tests {
                 .unwrap(),
         );
         let explain = ep.explain(&q);
-        assert_eq!(explain.path, "direct", "stale window answers direct");
+        assert_eq!(
+            explain.path, "decomposed",
+            "staged writes stay on the kernel"
+        );
         assert_eq!(explain.data_epoch, novelty.epoch());
         ep.compact().unwrap();
         assert_eq!(ep.explain(&q).path, "decomposed");
@@ -944,7 +870,7 @@ mod tests {
         // The next read syncs the cache to the new epoch: fresh entries
         // demote to the stale side (resilience ladder fodder).
         let out = ep.execute(&q).unwrap();
-        assert_eq!(out.served_by, ServedBy::Direct);
+        assert_eq!(out.served_by, ServedBy::Decomposer);
         let stats = ep.cache_stats().unwrap();
         assert!(stats.invalidations >= 1, "write must demote fresh entries");
     }

@@ -1,7 +1,8 @@
 //! Minimal HTTP/1.1 framing for the SPARQL protocol endpoint.
 //!
 //! Supports exactly what the serving subsystem needs: request-line and
-//! header parsing, `Content-Length` bodies, percent-decoding, and
+//! header parsing, `Content-Length` bodies (a `Transfer-Encoding` body
+//! is refused, never guessed at), percent-decoding, and
 //! `application/x-www-form-urlencoded` query-pair parsing. Two parsing
 //! entry points share one grammar: [`Request::parse`] reads a blocking
 //! stream (one request per connection, `Connection: close` on every
@@ -99,7 +100,7 @@ impl Request {
     /// - `Ok(None)` — the bytes so far are a valid prefix; read more.
     /// - `Err(_)` — the prefix can never become a valid request, with
     ///   the same error kinds as [`Request::parse`] (`InvalidData` →
-    ///   400, `InvalidInput` → 413).
+    ///   400, `InvalidInput` → 413, `Unsupported` → 411).
     pub fn try_parse(buf: &[u8]) -> io::Result<Option<(Request, usize)>> {
         let mut pos = 0usize;
         let Some(line) = next_crlf_line(buf, &mut pos)? else {
@@ -173,7 +174,22 @@ fn parse_header_line(line: &str) -> io::Result<(String, String)> {
 /// must be rejected; identical repeats are allowed. A length beyond
 /// [`MAX_BODY`] gets the distinct `InvalidInput` kind so handlers map
 /// it to `413`.
+///
+/// This parser does not decode transfer codings, so a request with a
+/// `Transfer-Encoding` header is never framed by guesswork (the body
+/// bytes would otherwise be read as the next request): alongside a
+/// `Content-Length` it is ambiguous and rejected (RFC 9112 §6.3, `400`);
+/// alone it gets the `Unsupported` kind, which handlers map to `411
+/// Length Required` (RFC 9110 §15.5.12).
 fn body_length(headers: &[(String, String)]) -> io::Result<usize> {
+    let has = |name: &str| headers.iter().any(|(n, _)| n == name);
+    if has("transfer-encoding") {
+        return Err(if has("content-length") {
+            bad("transfer-encoding with content-length")
+        } else {
+            length_required("transfer-encoding without content-length")
+        });
+    }
     let mut length: Option<usize> = None;
     for (_, value) in headers.iter().filter(|(n, _)| n == "content-length") {
         let parsed = value
@@ -334,6 +350,7 @@ fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         408 => "Request Timeout",
+        411 => "Length Required",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
         502 => "Bad Gateway",
@@ -353,6 +370,13 @@ fn bad(msg: &str) -> io::Error {
 /// the request or stop resending it bigger.
 fn too_large(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg.to_string())
+}
+
+/// A body framed only by a transfer coding gets its own error kind so
+/// the connection handler can answer `411 Length Required`: the client
+/// may resend with a `Content-Length`.
+fn length_required(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::Unsupported, msg.to_string())
 }
 
 /// Read one `\r\n`-terminated line, returned without the terminator.
@@ -722,6 +746,25 @@ mod tests {
             Request::try_parse(raw).unwrap_err().kind(),
             std::io::ErrorKind::InvalidData
         );
+    }
+
+    #[test]
+    fn transfer_encoding_is_refused_by_both_parsers() {
+        let cases: [(&[u8], std::io::ErrorKind); 2] = [
+            (
+                b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+                std::io::ErrorKind::Unsupported,
+            ),
+            (
+                b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 5\r\n\r\n0\r\n\r\n",
+                std::io::ErrorKind::InvalidData,
+            ),
+        ];
+        for (raw, kind) in cases {
+            assert_eq!(Request::try_parse(raw).unwrap_err().kind(), kind);
+            let err = Request::parse(&mut BufReader::new(raw)).unwrap_err();
+            assert_eq!(err.kind(), kind);
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! * **Reading** — `EPOLLIN`: bytes accumulate in the connection
 //!   buffer until a full request parses. A malformed prefix moves to
-//!   *Draining* with the matching `400`/`413` queued; a request whose
+//!   *Draining* with the matching `400`/`411`/`413` queued; a request whose
 //!   bytes stall past `read_timeout` (measured from the request's
 //!   *first* byte, so a trickling slowloris client cannot reset it)
 //!   gets the same treatment with a `408`.
@@ -750,8 +750,8 @@ enum SweepAction {
 
 /// Try to advance a Reading connection: parse, then admit or reject.
 /// Mirrors the blocking `handle_connection` decision table exactly —
-/// `InvalidData` → 400, `InvalidInput` → 413, full queue → the shared
-/// 503, EOF before a full request → silent close.
+/// `InvalidData` → 400, `InvalidInput` → 413, `Unsupported` → 411, full
+/// queue → the shared 503, EOF before a full request → silent close.
 fn dispatch(conn: &mut Conn, shared: &Arc<Shared>, token: u64, now: Instant) -> Verdict {
     debug_assert_eq!(conn.state, ConnState::Reading);
     match Request::try_parse(&conn.inbuf) {
@@ -785,6 +785,9 @@ fn dispatch(conn: &mut Conn, shared: &Arc<Shared>, token: u64, now: Instant) -> 
         }
         Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
             Verdict::Reject(Response::text(413, format!("payload too large: {e}\n")))
+        }
+        Err(e) if e.kind() == io::ErrorKind::Unsupported => {
+            Verdict::Reject(Response::text(411, format!("length required: {e}\n")))
         }
         Err(e) => Verdict::Reject(Response::text(400, format!("bad request: {e}\n"))),
     }

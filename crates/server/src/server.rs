@@ -570,6 +570,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             drain_rejected_request(&mut reader, shared.config.drain_timeout);
             Response::text(413, format!("payload too large: {e}\n"))
         }
+        // A `Transfer-Encoding` body without a `Content-Length`: nothing
+        // after the headers is read as a request. Same drain rationale.
+        Err(e) if e.kind() == io::ErrorKind::Unsupported => {
+            drain_rejected_request(&mut reader, shared.config.drain_timeout);
+            Response::text(411, format!("length required: {e}\n"))
+        }
         // The client sent part of a request and then stalled until the
         // socket read timeout: tell it so instead of silently dropping.
         // The partial request's bytes are still unread in the kernel

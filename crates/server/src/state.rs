@@ -230,11 +230,6 @@ impl ServerState {
             // Plain apply: these records are already in the log.
             novelty.apply(&update);
         }
-        if let Some(router) = self.router.as_ref() {
-            if report.replayed_records > 0 {
-                router.refresh();
-            }
-        }
         self.wal = Some(wal);
         self.wal_replay = report;
         Ok(report)
@@ -495,9 +490,9 @@ impl ServerState {
         result
     }
 
-    /// Fold the novelty overlay into a new base store and refresh the
-    /// router's index generation, recording the work as a `compact`
-    /// stage. `None` when there is nothing staged (or no write path).
+    /// Fold the novelty overlay into a new base store, recording the
+    /// work as a `compact` stage. `None` when there is nothing staged
+    /// (or no write path).
     pub fn compact_now(&self) -> Option<CompactionReport> {
         let router = self.router.as_ref()?;
         let novelty = self.novelty.as_ref()?;

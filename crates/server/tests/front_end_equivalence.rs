@@ -292,3 +292,51 @@ fn threaded_plan_is_byte_identical_across_front_ends() {
     let script = vec![get_sparql("chart", &chart, "id-plan-1")];
     assert_equivalent(EndpointConfig::parallel(Parallelism::fixed(2, 7)), &script);
 }
+
+/// A `Transfer-Encoding` request is refused and the connection closed:
+/// `411` without a `Content-Length` (RFC 9110 §15.5.12), `400` with one
+/// (RFC 9112 §6.3). The chunked body carries a second request; exactly
+/// one response comes back, so nothing after the headers was parsed as
+/// a request.
+fn assert_transfer_encoding_is_refused(event_loop: bool) {
+    let smuggled = "0\r\n\r\nGET /health HTTP/1.1\r\nHost: t\r\n\r\n";
+    let cases = [
+        (
+            411,
+            format!(
+                "POST /sparql HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n{smuggled}"
+            ),
+        ),
+        (
+            400,
+            format!(
+                "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\
+                 Transfer-Encoding: chunked\r\n\r\n{smuggled}"
+            ),
+        ),
+    ];
+    let script: Vec<Step> = cases
+        .iter()
+        .map(|(_, raw)| Step::Full("transfer-encoding", raw.clone()))
+        .collect();
+    let responses = run_script(EndpointConfig::full(), event_loop, &script);
+    for ((status, _), (_, raw)) in cases.iter().zip(&responses) {
+        let text = String::from_utf8_lossy(raw);
+        assert!(
+            text.starts_with(&format!("HTTP/1.1 {status} ")),
+            "event_loop={event_loop}: {text}"
+        );
+        assert!(text.contains("\r\nConnection: close\r\n"), "{text}");
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+    }
+}
+
+#[test]
+fn blocking_front_end_refuses_transfer_encoding() {
+    assert_transfer_encoding_is_refused(false);
+}
+
+#[test]
+fn reactor_refuses_transfer_encoding() {
+    assert_transfer_encoding_is_refused(true);
+}

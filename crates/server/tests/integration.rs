@@ -850,6 +850,61 @@ fn percent_encoded_get_and_plain_post_share_one_cache_key() {
     handle.shutdown();
 }
 
+/// A store with more typed instances than the `LIMIT` the comment tests
+/// ask for, so a swallowed `LIMIT` shows as extra rows.
+fn typed_state() -> Arc<ServerState> {
+    let store = TripleStore::from_turtle(
+        "@prefix ex: <http://e/> .
+         ex:a a ex:C . ex:b a ex:C . ex:c a ex:C . ex:d a ex:D . ex:e a ex:D .",
+    )
+    .unwrap();
+    Arc::new(ServerState::new(Arc::new(store), EndpointConfig::full()))
+}
+
+/// GET `query` and expect exactly the bytes the in-process executor
+/// gives for `same_query_without_comment`, with `rows` rows.
+fn assert_comment_is_whitespace(query: &str, same_query_without_comment: &str, rows: usize) {
+    let state = typed_state();
+    let expected = {
+        let outcome = state
+            .endpoint()
+            .inner()
+            .execute(same_query_without_comment)
+            .unwrap();
+        assert_eq!(outcome.solutions.len(), rows);
+        encode_solutions(&outcome.solutions, state.store()).into_bytes()
+    };
+    let handle = serve(Arc::clone(&state), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let (status, _, body) = get(
+        handle.local_addr(),
+        &format!("/sparql?query={}", percent_encode(query)),
+    );
+    handle.shutdown();
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    assert_eq!(
+        String::from_utf8_lossy(&body),
+        String::from_utf8_lossy(&expected)
+    );
+}
+
+#[test]
+fn comment_before_limit_ends_at_the_newline() {
+    assert_comment_is_whitespace(
+        "SELECT ?s WHERE { ?s a ?c . } # note\nLIMIT 3",
+        "SELECT ?s WHERE { ?s a ?c . } LIMIT 3",
+        3,
+    );
+}
+
+#[test]
+fn comment_inside_a_group_does_not_swallow_its_patterns() {
+    assert_comment_is_whitespace(
+        "SELECT ?s WHERE { # note\n ?s a ?c . } LIMIT 3",
+        "SELECT ?s WHERE { ?s a ?c . } LIMIT 3",
+        3,
+    );
+}
+
 /// POST a SPARQL UPDATE as a raw `application/sparql-update` body.
 fn post_update(addr: SocketAddr, update: &str) -> (u16, Vec<(String, String)>, Vec<u8>) {
     exchange(

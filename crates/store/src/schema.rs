@@ -18,8 +18,10 @@ use elinda_rdf::{vocab, TermId};
 
 /// An immutable snapshot of the class hierarchy of a store.
 ///
-/// Built once per store epoch; rebuilding after updates is the caller's
-/// responsibility (the `Explorer` in `elinda-core` does this).
+/// [`TripleStore::hierarchy`] builds one per store snapshot on first use
+/// and drops it on every mutation, so a caller holding a store always
+/// reads the hierarchy of exactly that store's triples.
+/// [`ClassHierarchy::build`] stays available for an unshared copy.
 #[derive(Debug, Clone)]
 pub struct ClassHierarchy {
     /// class → direct subclasses (sorted).

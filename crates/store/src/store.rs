@@ -7,8 +7,10 @@
 //! `O(n)` memmoves, acceptable because eLinda workloads are read-heavy —
 //! updates exist mainly to exercise HVS invalidation.
 
+use crate::schema::ClassHierarchy;
 use elinda_rdf::{Graph, Interner, Term, TermId, Triple};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Process-wide source of store lineage identifiers. Every store built
 /// from scratch (`new` / `from_graph`) gets a fresh id; clones keep the
@@ -108,6 +110,11 @@ pub struct TripleStore {
     /// object (e.g. a reload via `from_graph`) must read as stale even
     /// if the epoch numbers happen to coincide.
     store_id: u64,
+    /// This snapshot's class hierarchy, built on first use by
+    /// [`TripleStore::hierarchy`]. A clone carries it along; every
+    /// mutation drops it (through `next_epoch`), so it is always the
+    /// hierarchy of exactly these triples.
+    hierarchy: OnceLock<Arc<ClassHierarchy>>,
 }
 
 impl TripleStore {
@@ -118,6 +125,7 @@ impl TripleStore {
             index: TripleIndex::default(),
             epoch: 0,
             store_id: fresh_store_id(),
+            hierarchy: OnceLock::new(),
         }
     }
 
@@ -132,6 +140,7 @@ impl TripleStore {
             index: TripleIndex::from_sorted_spo(spo),
             epoch: 0,
             store_id: fresh_store_id(),
+            hierarchy: OnceLock::new(),
         }
     }
 
@@ -163,6 +172,7 @@ impl TripleStore {
             index: TripleIndex { spo, pos, osp },
             epoch,
             store_id: fresh_store_id(),
+            hierarchy: OnceLock::new(),
         }
     }
 
@@ -231,7 +241,24 @@ impl TripleStore {
     /// pre-compaction view must demote, so the fold is made visible as a
     /// mutation. Returns the new epoch.
     pub fn bump_epoch(&mut self) -> u64 {
+        self.next_epoch()
+    }
+
+    /// The class hierarchy of this snapshot, built on the first call and
+    /// shared by every later one (and by clones taken before the next
+    /// mutation). Concurrent first callers wait for one build.
+    pub fn hierarchy(&self) -> Arc<ClassHierarchy> {
+        Arc::clone(
+            self.hierarchy
+                .get_or_init(|| Arc::new(ClassHierarchy::build(self))),
+        )
+    }
+
+    /// Advance the epoch and drop the memoized hierarchy: the one step
+    /// every mutation (and every compaction point) goes through.
+    fn next_epoch(&mut self) -> u64 {
         self.epoch += 1;
+        self.hierarchy.take();
         self.epoch
     }
 
@@ -278,7 +305,7 @@ impl TripleStore {
             .binary_search_by_key(&t.osp(), Triple::osp)
             .expect_err("triple absent from spo must be absent from osp");
         self.index.osp.insert(idx, t);
-        self.epoch += 1;
+        self.next_epoch();
         true
     }
 
@@ -310,7 +337,7 @@ impl TripleStore {
             .binary_search_by_key(&t.osp(), Triple::osp)
             .expect("triple present in spo must be present in osp");
         self.index.osp.remove(idx);
-        self.epoch += 1;
+        self.next_epoch();
         true
     }
 
@@ -525,5 +552,35 @@ mod tests {
         assert!(s.spo_range(ghost, None).is_empty());
         assert!(s.pos_range(ghost, None).is_empty());
         assert!(s.osp_range(ghost, None).is_empty());
+    }
+
+    #[test]
+    fn hierarchy_memo_is_built_once_and_dropped_by_every_mutation() {
+        let original = sample();
+        let (c, d) = (iri(&original, "http://e/C"), iri(&original, "http://e/D"));
+        let memo = original.hierarchy();
+        assert!(Arc::ptr_eq(&memo, &original.hierarchy()), "built once");
+        assert!(memo.direct_subclasses(d).is_empty());
+
+        // A clone carries the filled memo; its first insert drops it.
+        let mut clone = original.clone();
+        assert!(Arc::ptr_eq(&memo, &clone.hierarchy()));
+        let sub_class_of = clone.intern(Term::iri(vocab::rdfs::SUB_CLASS_OF));
+        assert!(clone.insert(c, sub_class_of, d));
+        assert_eq!(clone.hierarchy().direct_subclasses(d), &[c]);
+        assert_eq!(clone.hierarchy().direct_superclasses(c), &[d]);
+        assert!(original.hierarchy().direct_subclasses(d).is_empty());
+        assert!(Arc::ptr_eq(&memo, &original.hierarchy()));
+
+        // Removing the edge again drops the clone's memo once more.
+        let with_edge = clone.hierarchy();
+        assert!(clone.remove(Triple::new(c, sub_class_of, d)));
+        assert!(clone.hierarchy().direct_subclasses(d).is_empty());
+        assert!(!Arc::ptr_eq(&with_edge, &clone.hierarchy()));
+
+        // A compaction point keeps the triples but not the memo.
+        let before_bump = clone.hierarchy();
+        clone.bump_epoch();
+        assert!(!Arc::ptr_eq(&before_bump, &clone.hierarchy()));
     }
 }
